@@ -8,7 +8,6 @@ from .weil import (
     is_degenerate,
     power_moment,
     spectrum,
-    validate_exponent,
     weil_sum,
 )
 from .kernel_curve import (
@@ -19,6 +18,7 @@ from .kernel_curve import (
 )
 from .digits import (
     carry_sequence,
+    family_params,
     family_witness,
     stickelberger_bound,
     verify_divisibility,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import digits, kernel_curve, motif_graph, proof_lab, weil
-from .ff import CEILING_ENV_VAR, FieldError, build_field, default_ceiling
-from .report import Check
+from .ff import CEILING_ENV_VAR, DEFAULT_Q_CEILING, FieldError, build_field
+from .report import Check, Verdict
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -25,16 +25,12 @@ EXIT_USAGE = 2
 
 
 @dataclass
-class RunReport:
+class RunReport(Verdict):
     command: str
     params: dict[str, Any]
     results: dict[str, Any]
     checks: list[Check] = field(default_factory=list)
     wall_time_ms: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
 
     def to_json(self) -> str:
         # wall time is excluded: json output is byte-stable across runs
@@ -86,15 +82,14 @@ def _field_params(ctx) -> dict[str, Any]:
 def cmd_spectrum(args) -> RunReport:
     t0 = time.perf_counter()
     if args.family is not None:
-        rep = weil.check_family(args.family, ceiling=args.ceiling, jobs=args.jobs)
-        ctx = build_field(3, args.family, ceiling=args.ceiling)
-        params = _field_params(ctx) | {"d": rep.d, "r": rep.r}
+        rep = weil.check_family(args.family, ceiling=args.ceiling)
+        params = _field_params(rep.ctx) | {"d": rep.d, "r": rep.r}
         results = {"spectrum": dict(sorted(rep.spectrum.entries.items()))}
         checks = list(rep.checks)
     else:
         ctx = build_field(args.p, args.n, ceiling=args.ceiling)
         params = _field_params(ctx) | {"d": args.d}
-        spec = weil.spectrum(ctx, args.d, jobs=args.jobs)
+        spec = weil.spectrum(ctx, args.d)
         checks = []
         if spec.is_integer:
             results = {
@@ -190,8 +185,7 @@ def cmd_proof_check(args) -> RunReport:
     checks.append(Check("sequences.count", 10, len(sequences)))
 
     n = args.n
-    r = pow(4, -1, n)
-    m = 3**n - 1
+    r = digits.family_params(n).r
     bad_identity = [
         sid
         for sid in proof_lab.SURGERIES
@@ -221,9 +215,7 @@ def cmd_proof_check(args) -> RunReport:
 def cmd_verify_all(args) -> list[RunReport]:
     reports = []
     for n in (5, 7, 9):
-        a = argparse.Namespace(
-            family=n, p=3, n=n, d=None, ceiling=args.ceiling, jobs=args.jobs
-        )
+        a = argparse.Namespace(family=n, p=3, n=n, d=None, ceiling=args.ceiling)
         reports.append(cmd_spectrum(a))
     for n, r in ((5, 1), (5, 4), (7, 2), (9, 7)):
         reports.append(cmd_kernel(argparse.Namespace(n=n, r=r, ceiling=args.ceiling)))
@@ -247,9 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=f"max field size q for table construction (default ${CEILING_ENV_VAR} "
-        f"or {default_ceiling()})",
+        f"or {DEFAULT_Q_CEILING})",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for scans")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("spectrum", help="value spectrum and power moments")

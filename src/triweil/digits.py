@@ -18,11 +18,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import Check
+from .report import Check, Verdict
 
 
 class CarryError(ValueError):
     """The two digit lists do not represent the same residue."""
+
+
+@dataclass(frozen=True)
+class FamilyParams:
+    """The family at odd n: q = 3^n, r = 4^-1 mod n, d = 3^r + 2, and the
+    digit modulus m = 3^n - 1."""
+
+    n: int
+    r: int
+    d: int
+    m: int
+
+
+def family_params(n: int) -> FamilyParams:
+    """The one derivation of the family parameters for odd n > 1.
+
+    gcd(d, 3^n - 1) always divides 13, and d mod 13 avoids 0, so the
+    gcd is 1; it is recomputed here rather than assumed.
+    """
+    if n <= 1 or n % 2 == 0:
+        raise ValueError(f"family exponent needs odd n > 1, got {n}")
+    r = pow(4, -1, n)
+    d = 3**r + 2
+    m = 3**n - 1
+    g = math.gcd(d, m)
+    if g != 1:
+        raise ValueError(f"gcd(3^{r}+2, 3^{n}-1) = {g} != 1")  # never for odd n
+    return FamilyParams(n=n, r=r, d=d, m=m)
 
 
 def canonical_digits(x: int, b: int, n: int) -> tuple[int, ...]:
@@ -75,8 +103,10 @@ def carry_sequence(s, t, b: int, n: int) -> list[int]:
         c.append(num // m)
     # both defining identities, rechecked post hoc
     for i in range(n):
-        assert s[i] + c[(i - 1) % n] == t[i] + b * c[i]
-    assert (b - 1) * sum(c) == sum(s) - sum(t)
+        if s[i] + c[(i - 1) % n] != t[i] + b * c[i]:
+            raise AssertionError(f"carry identity fails at index {i}")  # unreachable
+    if (b - 1) * sum(c) != sum(s) - sum(t):
+        raise AssertionError("carries do not sum to the weight difference")  # unreachable
     return c
 
 
@@ -117,16 +147,12 @@ def stickelberger_bound(p: int, n: int, d: int, *, max_witnesses: int = 64) -> S
 
 
 @dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Verdict):
     n: int
     r: int
     d: int
     a: int
     checks: list[Check]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 def family_witness(n: int) -> WitnessReport:
@@ -135,22 +161,18 @@ def family_witness(n: int) -> WitnessReport:
     a = 1 + 3^(2r) + 3^(4r) + ... + 3^((n-3)r) has weight (n-1)/2 and
     -d*a has weight (n+3)/2.
     """
-    if n <= 1 or n % 2 == 0:
-        raise ValueError(f"need odd n > 1, got {n}")
-    r = pow(4, -1, n)
-    d = 3**r + 2
-    m = 3**n - 1
-    a = sum(pow(3, (2 * r * k) % n, m) for k in range((n - 1) // 2)) % m
+    fam = family_params(n)
+    a = sum(pow(3, (2 * fam.r * k) % n, fam.m) for k in range((n - 1) // 2)) % fam.m
     checks = [
         Check("witness.weight-a", (n - 1) // 2, weight(a, 3, n)),
-        Check("witness.weight-minus-da", (n + 3) // 2, weight(-d * a, 3, n)),
-        Check("witness.weight-sum", n + 1, weight(a, 3, n) + weight(-d * a, 3, n)),
+        Check("witness.weight-minus-da", (n + 3) // 2, weight(-fam.d * a, 3, n)),
+        Check("witness.weight-sum", n + 1, weight(a, 3, n) + weight(-fam.d * a, 3, n)),
     ]
-    return WitnessReport(n=n, r=r, d=d, a=a, checks=checks)
+    return WitnessReport(n=n, r=fam.r, d=fam.d, a=a, checks=checks)
 
 
 @dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(Verdict):
     n: int
     r: int
     d: int
@@ -158,10 +180,6 @@ class DivisibilityReport:
     num_minimizers: int
     minimizers: tuple[int, ...]
     checks: list[Check]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 def verify_divisibility(n: int, *, max_witnesses: int = 64) -> DivisibilityReport:
@@ -171,15 +189,11 @@ def verify_divisibility(n: int, *, max_witnesses: int = 64) -> DivisibilityRepor
     n + w(d*x) - w(x) > 0, with the first minimum attained exactly at
     n + 1 (the explicit witness is among the minimizers).
     """
-    if n <= 1 or n % 2 == 0:
-        raise ValueError(f"need odd n > 1, got {n}")
-    r = pow(4, -1, n)
-    d = 3**r + 2
-    m = 3**n - 1
+    fam = family_params(n)
     w = weight_table(3, n)
-    x = np.arange(1, m, dtype=np.int64)
-    sum_form = w[x] + w[(-d * x) % m]
-    diff_form = n + w[(d * x) % m] - w[x]
+    x = np.arange(1, fam.m, dtype=np.int64)
+    sum_form = w[x] + w[(-fam.d * x) % fam.m]
+    diff_form = n + w[(fam.d * x) % fam.m] - w[x]
     min_sum = int(sum_form.min())
     mins = x[sum_form == min_sum]
     witness = family_witness(n)
@@ -189,7 +203,7 @@ def verify_divisibility(n: int, *, max_witnesses: int = 64) -> DivisibilityRepor
         Check("divisibility.witness-attains", True, bool(np.isin(witness.a, mins))),
     ]
     return DivisibilityReport(
-        n=n, r=r, d=d,
+        n=n, r=fam.r, d=fam.d,
         min_weight_sum=min_sum,
         num_minimizers=int(mins.size),
         minimizers=tuple(int(v) for v in mins[:max_witnesses]),

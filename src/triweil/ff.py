@@ -263,7 +263,12 @@ class FieldCtx:
 
 def default_ceiling() -> int:
     env = os.environ.get(CEILING_ENV_VAR)
-    return int(env) if env else DEFAULT_Q_CEILING
+    if not env:
+        return DEFAULT_Q_CEILING
+    try:
+        return int(env)
+    except ValueError:
+        raise FieldError(f"${CEILING_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def build_field(p: int, n: int, *, ceiling: int | None = None) -> FieldCtx:

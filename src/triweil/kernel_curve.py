@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .ff import FieldCtx
-from .report import Check
+from .report import Check, Verdict
 
 
 def _on_curve(ctx: FieldCtx, r: int, x: int, y: int) -> bool:
@@ -99,7 +99,7 @@ def fourth_moment_via_kernel(ctx: FieldCtx, r: int) -> int:
 
 
 @dataclass(frozen=True)
-class KernelReport:
+class KernelReport(Verdict):
     q: int
     r: int
     count_direct: int
@@ -107,10 +107,6 @@ class KernelReport:
     axes_count: int
     eta_sum: int
     checks: list[Check]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 def kernel_report(ctx: FieldCtx, r: int) -> KernelReport:

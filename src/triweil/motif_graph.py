@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import digits
-from .report import Check
+from .report import Check, Verdict
 
 NUM_VERTICES = 3**6
 
@@ -242,16 +242,13 @@ def trace_cycle(n: int, x: int) -> TraceResult:
     Asserts that every carry lies in {0,1,2}, that every step is a graph
     edge, and that the total cost equals n + w(d*x) - w(x).
     """
-    if n <= 1 or n % 2 == 0:
-        raise ValueError(f"need odd n > 1, got {n}")
-    r = pow(4, -1, n)
-    d = 3**r + 2
-    m = 3**n - 1
-    x %= m
+    fam = digits.family_params(n)
+    r = fam.r
+    x %= fam.m
     if x == 0:
         raise ValueError("x must be a nonzero residue")
     xd = digits.canonical_digits(x, 3, n)
-    yd = digits.canonical_digits(d * x, 3, n)
+    yd = digits.canonical_digits(fam.d * x, 3, n)
     s = [2 * xd[i] + xd[(i - r) % n] for i in range(n)]
     c = digits.carry_sequence(s, yd, 3, n)
 
@@ -275,7 +272,7 @@ def trace_cycle(n: int, x: int) -> TraceResult:
             raise AssertionError(f"non-edge step {u} -> {v} for x = {x}")
         total += edge_cost(u)
 
-    expected = n + digits.weight(d * x, 3, n) - digits.weight(x, 3, n)
+    expected = n + digits.weight(fam.d * x, 3, n) - digits.weight(x, 3, n)
     if total != expected:
         raise AssertionError(
             f"walk cost {total} != n + w(dx) - w(x) = {expected} for x = {x}"
@@ -298,7 +295,7 @@ def _edge_targets() -> list[set[int]]:
 
 
 @dataclass(frozen=True)
-class GraphReport:
+class GraphReport(Verdict):
     num_vertices: int
     num_edges: int
     num_components: int
@@ -307,10 +304,6 @@ class GraphReport:
     pair_cycle_cost: int | None
     negative_cycle: tuple[int, ...] | None
     checks: list[Check]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 PAIR_VERTICES = ((0, 2, 2, 0, 2, 0), (2, 0, 0, 2, 0, 2))

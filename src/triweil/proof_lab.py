@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import digits
-from .report import Check
+from .report import Check, Verdict
 
 # ---------------------------------------------------------------------------
 # Surgeries.  Digit positions are (const + rmult*r) away from the pivot i;
@@ -105,12 +105,11 @@ def check_surgery(sid: str, n: int, x: int, i: int, *, r: int | None = None) -> 
     Inapplicability (digit conditions unmet) is a normal outcome.  When
     applicable, verifies z' = -d*x' exactly and both weight contracts.
     """
-    if n <= 1 or n % 2 == 0:
-        raise ValueError(f"need odd n > 1, got {n}")
+    fam = digits.family_params(n)
     if r is None:
-        r = pow(4, -1, n)
+        r = fam.r
     s = SURGERIES[sid]
-    m = 3**n - 1
+    m = fam.m
     d = 2 + pow(3, r % n, m)
     x %= m
     z = (-d * x) % m
@@ -290,15 +289,12 @@ def enumerate_sequences() -> tuple[SequencePattern, ...]:
 
 def motif_word(n: int, x: int) -> tuple[str, ...]:
     """The cyclic motif word of a candidate minimizer x (z = -d*x)."""
-    if n <= 1 or n % 2 == 0:
-        raise ValueError(f"need odd n > 1, got {n}")
-    r = pow(4, -1, n)
-    d = 3**r + 2
-    m = 3**n - 1
-    x %= m
+    fam = digits.family_params(n)
+    r = fam.r
+    x %= fam.m
     if x == 0:
         raise ValueError("x must be a nonzero residue")
-    z = (-d * x) % m
+    z = (-fam.d * x) % fam.m
     xd = digits.canonical_digits(x, 3, n)
     zd = digits.canonical_digits(z, 3, n)
     s = [2 * xd[i] + xd[(i - r) % n] + zd[i] for i in range(n)]
@@ -338,7 +334,7 @@ def decompose_s2_s4(word: tuple[str, ...]) -> dict[str, int] | None:
 
 
 @dataclass(frozen=True)
-class MinimizerReport:
+class MinimizerReport(Verdict):
     n: int
     r: int
     d: int
@@ -348,10 +344,6 @@ class MinimizerReport:
     num_doubly_minimal: int
     checks: list[Check]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
 
 def check_minimizer_structure(n: int) -> MinimizerReport:
     """Brute-force oracle for the final structure claim.
@@ -360,14 +352,10 @@ def check_minimizer_structure(n: int) -> MinimizerReport:
     with minimal w(x), and checks that each decomposes into S2/S4 blocks
     with w(x) = k = (n-1)/2 and w(x) + w(z) = 2n - 2k = n + 1.
     """
-    if n <= 1 or n % 2 == 0:
-        raise ValueError(f"need odd n > 1, got {n}")
-    r = pow(4, -1, n)
-    d = 3**r + 2
-    m = 3**n - 1
+    fam = digits.family_params(n)
     w = digits.weight_table(3, n)
-    xs = np.arange(1, m, dtype=np.int64)
-    total = w[xs] + w[(-d * xs) % m]
+    xs = np.arange(1, fam.m, dtype=np.int64)
+    total = w[xs] + w[(-fam.d * xs) % fam.m]
     min_sum = int(total.min())
     minimizers = xs[total == min_sum]
     wx = w[minimizers]
@@ -393,7 +381,7 @@ def check_minimizer_structure(n: int) -> MinimizerReport:
         Check("minimizer.witness-doubly-minimal", True, witness.a in doubly),
     ]
     return MinimizerReport(
-        n=n, r=r, d=d, k=k,
+        n=n, r=fam.r, d=fam.d, k=k,
         min_weight_sum=min_sum,
         num_minimizers=int(minimizers.size),
         num_doubly_minimal=len(doubly),

@@ -23,5 +23,9 @@ class Check:
         return f"[{mark}] {self.claim}: expected {self.expected!r}, got {self.got!r}"
 
 
-def all_ok(checks) -> bool:
-    return all(c.ok for c in checks)
+class Verdict:
+    """Mixin for a report holding ``checks``: it passes when every check holds."""
+
+    @property
+    def passed(self) -> bool:
+        return all(c.ok for c in self.checks)

@@ -9,13 +9,13 @@ d = 1 mod p-1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .digits import family_params
 from .ff import FieldCtx, build_field
-from .report import Check
+from .report import Check, Verdict
 
 
 class SpectrumError(ValueError):
@@ -71,65 +71,43 @@ def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     return trexp, trd
 
 
-def _fold_counts(raw: np.ndarray, p: int) -> np.ndarray:
+def _fiber_counts(trd: np.ndarray, tra: np.ndarray | int, p: int) -> tuple[int, ...]:
+    """Counts of x in F with Tr(x^d) - Tr(a*x) = t, for t in F_p.
+
+    trd and tra are the two traces over the nonzero x (tra may be the
+    scalar 0 for a = 0).
+    """
+    raw = np.bincount(trd - tra + p, minlength=2 * p)
     # raw counts are indexed by (t1 - t2 + p) in 1..2p-1; fold mod p
     counts = raw[p : 2 * p].copy()
     counts[1:] += raw[1:p]
-    return counts
+    counts[0] += 1  # x = 0 contributes trace 0
+    return tuple(int(c) for c in counts)
 
 
 def weil_sum(ctx: FieldCtx, d: int, a: int) -> CharSumValue:
     """Exact fiber counts of sum over x of psi(x^d - a*x)."""
     if d < 1:
         raise ValueError("exponent must be positive")
-    p, Q = ctx.p, ctx.q - 1
     trexp, trd = _trace_of_powers(ctx, d)
-    if a == 0:
-        raw = np.bincount(trd + p, minlength=2 * p)
-    else:
-        la = ctx.index(a)
-        shifted = np.roll(trexp, -la)
-        raw = np.bincount(trd - shifted + p, minlength=2 * p)
-    counts = _fold_counts(raw, p)
-    counts[0] += 1  # x = 0 contributes trace 0
-    return CharSumValue(p=p, fiber_counts=tuple(int(c) for c in counts))
+    tra = 0 if a == 0 else np.roll(trexp, -ctx.index(a))
+    return CharSumValue(p=ctx.p, fiber_counts=_fiber_counts(trd, tra, ctx.p))
 
 
-def spectrum(ctx: FieldCtx, d: int, *, jobs: int = 1) -> Spectrum:
+def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     """Spectrum of the sum as a runs over the nonzero field elements.
 
     O(q) per coefficient with precomputed trace tables, O(q^2) overall.
-    The scan over a partitions cleanly, so jobs > 1 fans out over threads
-    (count merging is associative and commutative).
     """
     if d < 1:
         raise ValueError("exponent must be positive")
     p, Q = ctx.p, ctx.q - 1
     trexp, trd = _trace_of_powers(ctx, d)
     doubled = np.concatenate([trexp, trexp])
-
-    def scan(lo: int, hi: int) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for la in range(lo, hi):
-            raw = np.bincount(trd - doubled[la : la + Q] + p, minlength=2 * p)
-            counts = _fold_counts(raw, p)
-            counts[0] += 1
-            key = tuple(int(c) for c in counts)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, Q, jobs + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(scan, bounds[:-1], bounds[1:]))
-        fibers: dict[tuple[int, ...], int] = {}
-        for part in partials:
-            for k, v in part.items():
-                fibers[k] = fibers.get(k, 0) + v
-    else:
-        fibers = scan(0, Q)
+    fibers: dict[tuple[int, ...], int] = {}
+    for la in range(Q):
+        key = _fiber_counts(trd, doubled[la : la + Q], p)
+        fibers[key] = fibers.get(key, 0) + 1
 
     entries: dict[int, int] | None = {}
     for key, mult in fibers.items():
@@ -150,31 +128,6 @@ def power_moment(s: Spectrum, k: int) -> int:
     return sum(v**k * m for v, m in s.entries.items())
 
 
-@dataclass(frozen=True)
-class ExponentChoice:
-    n: int
-    r: int
-    d: int
-    gcd_with_group: int
-    d_mod_13: int
-
-
-def validate_exponent(n: int) -> ExponentChoice:
-    """The family exponent for odd n: r = 4^-1 mod n, d = 3^r + 2.
-
-    gcd(d, 3^n - 1) always divides 13, and d mod 13 avoids 0, so the
-    gcd is 1; both facts are recomputed here rather than assumed.
-    """
-    if n <= 1 or n % 2 == 0:
-        raise ValueError(f"family exponent needs odd n > 1, got {n}")
-    r = pow(4, -1, n)
-    d = 3**r + 2
-    g = math.gcd(d, 3**n - 1)
-    if g != 1:
-        raise ValueError(f"gcd(3^{r}+2, 3^{n}-1) = {g} != 1")  # never for odd n
-    return ExponentChoice(n=n, r=r, d=d, gcd_with_group=g, d_mod_13=d % 13)
-
-
 def is_degenerate(d: int, p: int, n: int) -> bool:
     """True iff d is a power of p modulo p^n - 1 (linearized exponent)."""
     Q = p**n - 1
@@ -183,28 +136,25 @@ def is_degenerate(d: int, p: int, n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(Verdict):
     n: int
     r: int
     d: int
+    ctx: FieldCtx  # the field the spectrum was computed over
     spectrum: Spectrum
     checks: list[Check] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
 
-
-def check_family(n: int, *, ceiling: int | None = None, jobs: int = 1) -> FamilyReport:
+def check_family(n: int, *, ceiling: int | None = None) -> FamilyReport:
     """Verify the three-valued spectrum claim for one odd n.
 
     Asserts the value set {0, +-3^((n+1)/2)}, the three multiplicities,
     and the power moments of orders 1, 2 and 4.  Failures are collected
     per item, not raised.
     """
-    choice = validate_exponent(n)
+    fam = family_params(n)
     ctx = build_field(3, n, ceiling=ceiling)
-    spec = spectrum(ctx, choice.d, jobs=jobs)
+    spec = spectrum(ctx, fam.d)
     q = ctx.q
     s = 3 ** ((n + 1) // 2)  # sqrt(3q)
 
@@ -220,4 +170,4 @@ def check_family(n: int, *, ceiling: int | None = None, jobs: int = 1) -> Family
             Check("moment.2", q**2, power_moment(spec, 2)),
             Check("moment.4", 3 * q**3, power_moment(spec, 4)),
         ]
-    return FamilyReport(n=n, r=choice.r, d=choice.d, spectrum=spec, checks=checks)
+    return FamilyReport(n=n, r=fam.r, d=fam.d, ctx=ctx, spectrum=spec, checks=checks)

@@ -29,7 +29,7 @@ def test_criterion_1_family_spectra():
     }
     for n, (spec_expected, budget) in expected.items():
         ctx = build_field(3, n)  # table construction excluded from the budget
-        d = weil.validate_exponent(n).d
+        d = digits.family_params(n).d
         t0 = time.perf_counter()
         spec = weil.spectrum(ctx, d)
         elapsed = time.perf_counter() - t0
@@ -162,7 +162,7 @@ def test_criterion_8_cross_consistency():
 
     ok = True
     for n in (5, 7, 9):
-        d = weil.validate_exponent(n).d
+        d = digits.family_params(n).d
         m = digits.stickelberger_bound(3, n, d).m
         spec = weil.spectrum(build_field(3, n), d)
         min_val = min(val3(abs(v)) for v in spec.entries if v != 0)

@@ -98,3 +98,25 @@ def test_over_ceiling_is_usage_error(capsys):
 def test_bad_n_is_usage_error(capsys):
     assert main(["divisibility", "--n", "6"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize(
+    "argv", [("divisibility", "--n"), ("proof-check", "--n"), ("spectrum", "--family")]
+)
+def test_bad_family_n_message(capsys, argv, n):
+    code = main([*argv, str(n)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: family exponent needs odd n > 1, got {n}\n"
+
+
+def test_bad_ceiling_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("TRIWEIL_CEILING", "abc")
+    assert main(["--json", "graph-verify"]) == 0  # reads no ceiling
+    capsys.readouterr()
+    code = main(["kernel", "--n", "5", "--r", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "TRIWEIL_CEILING" in err
+    assert err.count("\n") == 1

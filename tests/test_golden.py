@@ -1,0 +1,33 @@
+"""Every benchmark report with n <= 9 is byte-identical to its golden.
+
+The goldens in perfbench/golden/ are the `--json` reports the benchmark
+compares against; this module only reads them.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from triweil.cli import main
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+COMMANDS = [
+    ("spectrum", "--family", "5"),
+    ("spectrum", "--family", "9"),
+    ("spectrum", "--p", "5", "--n", "3", "--d", "3"),
+    ("spectrum", "--p", "5", "--n", "6", "--d", "11"),
+    ("spectrum", "--p", "7", "--n", "2", "--d", "5"),
+    ("spectrum", "--p", "7", "--n", "5", "--d", "5"),
+    ("kernel", "--n", "7", "--r", "2"),
+    ("divisibility", "--n", "7"),
+    ("proof-check", "--n", "7"),
+    ("graph-verify",),
+]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_report_matches_golden(capsys, argv):
+    golden = GOLDEN / ("_".join(a.lstrip("-") for a in argv) + ".json")
+    assert main(["--json", *argv]) == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from triweil.digits import family_params
 from triweil.ff import build_field
 from triweil.weil import (
     SpectrumError,
@@ -12,7 +13,6 @@ from triweil.weil import (
     is_degenerate,
     power_moment,
     spectrum,
-    validate_exponent,
     weil_sum,
 )
 
@@ -106,11 +106,6 @@ def test_family_spectra():
     assert spectrum(build_field(3, 7), 11).entries == {0: 1457, 81: 378, -81: 351}
 
 
-def test_spectrum_jobs_merge():
-    ctx = build_field(3, 5)
-    assert spectrum(ctx, 83, jobs=4).entries == spectrum(ctx, 83).entries
-
-
 def test_moments_n5():
     s = spectrum(build_field(3, 5), 83)
     assert power_moment(s, 1) == 243
@@ -127,18 +122,19 @@ def test_fourth_moment_non_family_instances():
         assert power_moment(spectrum(ctx, d), 4) == 3 * ctx.q**3
 
 
-def test_validate_exponent():
-    assert (validate_exponent(5).r, validate_exponent(5).d) == (4, 83)
-    assert (validate_exponent(7).r, validate_exponent(7).d) == (2, 11)
-    assert (validate_exponent(9).r, validate_exponent(9).d) == (7, 2189)
+def test_family_params():
+    assert (family_params(5).r, family_params(5).d) == (4, 83)
+    assert (family_params(7).r, family_params(7).d) == (2, 11)
+    assert (family_params(9).r, family_params(9).d) == (7, 2189)
     for n in (5, 7, 9, 11, 13):
-        choice = validate_exponent(n)
-        assert choice.gcd_with_group == 1
-        assert choice.d_mod_13 in (3, 5, 11)
+        fam = family_params(n)
+        assert fam.m == 3**n - 1
+        assert math.gcd(fam.d, fam.m) == 1
+        assert fam.d % 13 in (3, 5, 11)
     with pytest.raises(ValueError):
-        validate_exponent(6)
+        family_params(6)
     with pytest.raises(ValueError):
-        validate_exponent(1)
+        family_params(1)
 
 
 def test_is_degenerate():
