@@ -139,7 +139,7 @@ def cmd_kernel(args) -> RunReport:
 
 def cmd_divisibility(args) -> RunReport:
     t0 = time.perf_counter()
-    rep = digits.verify_divisibility(args.n)
+    rep = digits.verify_divisibility(args.n, ceiling=args.ceiling)
     results = {
         "min_weight_sum": rep.min_weight_sum,
         "num_minimizers": rep.num_minimizers,
@@ -193,7 +193,7 @@ def cmd_proof_check(args) -> RunReport:
     ]
     checks.append(Check("surgeries.identities", [], bad_identity))
 
-    rep = proof_lab.check_minimizer_structure(n)
+    rep = proof_lab.check_minimizer_structure(n, ceiling=args.ceiling)
     checks.extend(rep.checks)
 
     results = {
@@ -220,10 +220,10 @@ def cmd_verify_all(args) -> list[RunReport]:
     for n, r in ((5, 1), (5, 4), (7, 2), (9, 7)):
         reports.append(cmd_kernel(argparse.Namespace(n=n, r=r, ceiling=args.ceiling)))
     for n in (5, 7, 9, 11, 13):
-        reports.append(cmd_divisibility(argparse.Namespace(n=n)))
+        reports.append(cmd_divisibility(argparse.Namespace(n=n, ceiling=args.ceiling)))
     reports.append(cmd_graph_verify(args))
     for n in (5, 7, 9):
-        reports.append(cmd_proof_check(argparse.Namespace(n=n)))
+        reports.append(cmd_proof_check(argparse.Namespace(n=n, ceiling=args.ceiling)))
     return reports
 
 
@@ -238,8 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ceiling",
         type=int,
         default=None,
-        help=f"max field size q for table construction (default ${CEILING_ENV_VAR} "
-        f"or {DEFAULT_Q_CEILING})",
+        help=f"max size q = p^n of the field and digit-weight tables (default "
+        f"${CEILING_ENV_VAR} or {DEFAULT_Q_CEILING})",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ff import check_ceiling
 from .report import Check, Verdict
 
 
@@ -75,14 +76,13 @@ def weight(x: int, b: int, n: int) -> int:
 
 
 def weight_table(b: int, n: int) -> np.ndarray:
-    """weight(x) for every residue x in 0..b^n-2, vectorized."""
-    m = b**n - 1
-    arr = np.arange(m, dtype=np.int64)
-    w = np.zeros(m, dtype=np.int64)
+    """weight(x) for every residue x in 0..b^n-2, built one digit at a time."""
+    # weights are below (b-1)*n, so this dtype holds any sum or difference of two
+    dtype = np.min_scalar_type(-2 * (b - 1) * n)
+    w = np.zeros(1, dtype=dtype)
     for _ in range(n):
-        w += arr % b
-        arr //= b
-    return w
+        w = (np.arange(b, dtype=dtype)[:, None] + w).ravel()  # prepend a top digit
+    return w[:-1]  # the all-(b-1) string is the zero residue, already at index 0
 
 
 def carry_sequence(s, t, b: int, n: int) -> list[int]:
@@ -110,6 +110,42 @@ def carry_sequence(s, t, b: int, n: int) -> list[int]:
     return c
 
 
+def family_carries(n: int, x: int):
+    """The carries of one nonzero family residue x at odd n.
+
+    Returns (fam, x mod 3^n - 1, digits of x, digits of z = -d*x, c), where c
+    carries 2*x_i + x_{i-r} + z_i against the all-2 string (the zero residue).
+    """
+    fam = family_params(n)
+    x %= fam.m
+    if x == 0:
+        raise ValueError("x must be a nonzero residue")
+    xd = canonical_digits(x, 3, n)
+    zd = canonical_digits(-fam.d * x, 3, n)
+    s = [2 * xd[i] + xd[(i - fam.r) % n] + zd[i] for i in range(n)]
+    return fam, x, xd, zd, carry_sequence(s, [2] * n, 3, n)
+
+
+def weight_sums(
+    p: int, n: int, d: int, *, ceiling: int | None = None
+) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """The digit-weight scan: (w, min_sum, minimizers, min_diff).
+
+    w is the weight table; min_sum = min w(j) + w(-d*j) over nonzero j mod
+    p^n - 1, attained at the ascending minimizers; min_diff = min w(d*j) - w(j).
+    """
+    m = p**n - 1
+    if math.gcd(d, m) != 1:
+        raise ValueError(f"d = {d} is not coprime to {p}^{n} - 1")
+    check_ceiling(p, n, ceiling)
+    w = weight_table(p, n)
+    dj = np.arange(1, m, dtype=np.int64) * (d % m) % m  # nonzero; int64 while m < 3e9
+    min_diff = int((w[dj] - w[1:]).min())
+    total = w[m - dj] + w[1:]
+    min_sum = int(total.min())
+    return w, min_sum, np.flatnonzero(total == min_sum) + 1, min_diff
+
+
 @dataclass(frozen=True)
 class StickelbergerReport:
     p: int
@@ -129,20 +165,12 @@ def stickelberger_bound(p: int, n: int, d: int, *, max_witnesses: int = 64) -> S
     equality attained.  The equivalent form (p-1)*n + min(w(d*j) - w(j))
     is computed independently and compared.
     """
-    m_mod = p**n - 1
-    if math.gcd(d, m_mod) != 1:
-        raise ValueError(f"d = {d} is not coprime to {p}^{n} - 1")
-    w = weight_table(p, n)
-    j = np.arange(1, m_mod, dtype=np.int64)
-    total = w[j] + w[(-d * j) % m_mod]
-    m = int(total.min())
-    mins = j[total == m]
-    alt = (p - 1) * n + int((w[(d * j) % m_mod] - w[j]).min())
+    _, m, mins, min_diff = weight_sums(p, n, d)
     return StickelbergerReport(
         p=p, n=n, d=d, m=m,
         witness=int(mins[0]),
         minimizers=tuple(int(v) for v in mins[:max_witnesses]),
-        alt_form_equal=(alt == m),
+        alt_form_equal=((p - 1) * n + min_diff == m),
     )
 
 
@@ -182,7 +210,9 @@ class DivisibilityReport(Verdict):
     checks: list[Check]
 
 
-def verify_divisibility(n: int, *, max_witnesses: int = 64) -> DivisibilityReport:
+def verify_divisibility(
+    n: int, *, max_witnesses: int = 64, ceiling: int | None = None
+) -> DivisibilityReport:
     """Exhaustively check both weight inequalities for the family exponent.
 
     For every nonzero x mod 3^n - 1: w(x) + w(-d*x) >= n + 1 and
@@ -190,16 +220,11 @@ def verify_divisibility(n: int, *, max_witnesses: int = 64) -> DivisibilityRepor
     n + 1 (the explicit witness is among the minimizers).
     """
     fam = family_params(n)
-    w = weight_table(3, n)
-    x = np.arange(1, fam.m, dtype=np.int64)
-    sum_form = w[x] + w[(-fam.d * x) % fam.m]
-    diff_form = n + w[(fam.d * x) % fam.m] - w[x]
-    min_sum = int(sum_form.min())
-    mins = x[sum_form == min_sum]
+    _, min_sum, mins, min_diff = weight_sums(3, n, fam.d, ceiling=ceiling)
     witness = family_witness(n)
     checks = [
         Check("divisibility.min-weight-sum", n + 1, min_sum),
-        Check("divisibility.strict-positivity", True, bool(diff_form.min() > 0)),
+        Check("divisibility.strict-positivity", True, n + min_diff > 0),
         Check("divisibility.witness-attains", True, bool(np.isin(witness.a, mins))),
     ]
     return DivisibilityReport(

@@ -182,9 +182,6 @@ class FieldCtx:
     def digits(self, x: int) -> tuple[int, ...]:
         return code_digits(x, self.p, self.n)
 
-    def from_digits(self, digs) -> int:
-        return digits_code(digs, self.p)
-
     def index(self, x: int) -> int:
         """Discrete log of a nonzero element."""
         if x == 0:
@@ -217,9 +214,6 @@ class FieldCtx:
             x //= p
             mult *= p
         return s
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -271,6 +265,17 @@ def default_ceiling() -> int:
         raise FieldError(f"${CEILING_ENV_VAR} must be an integer, got {env!r}") from None
 
 
+def check_ceiling(p: int, n: int, ceiling: int | None = None) -> None:
+    """Refuse, before allocating, a field or digit-weight table of p^n > ceiling entries."""
+    q = p**n
+    limit = ceiling if ceiling is not None else default_ceiling()
+    if q > limit:
+        raise FieldError(
+            f"q = {p}^{n} = {q} exceeds the table ceiling {limit}; "
+            f"raise it via ceiling= or ${CEILING_ENV_VAR}"
+        )
+
+
 def build_field(p: int, n: int, *, ceiling: int | None = None) -> FieldCtx:
     """Construct GF(p^n) deterministically.
 
@@ -283,13 +288,7 @@ def build_field(p: int, n: int, *, ceiling: int | None = None) -> FieldCtx:
         raise FieldError(f"p = {p} is not prime")
     if n < 1:
         raise FieldError(f"extension degree must be >= 1, got {n}")
-    q = p**n
-    limit = ceiling if ceiling is not None else default_ceiling()
-    if q > limit:
-        raise FieldError(
-            f"q = {p}^{n} = {q} exceeds the table ceiling {limit}; "
-            f"raise it via ceiling= or ${CEILING_ENV_VAR}"
-        )
+    check_ceiling(p, n, ceiling)
     return _build_field(p, n)
 
 

@@ -74,15 +74,15 @@ def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
     """
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
     e2 = (pow(p, 2 * r, Q) - pow(p, r, Q)) % Q
+    # w^(p^2r - p^r) is a square, so it meets -1 only when -1 is a square
+    minus_one_square = ctx.eta(ctx.neg(1)) == 1
     s = 0
     for lw in range(Q):
         v = ctx.from_index((lw * e2) % Q)
         t = ctx.add(v, 1)
-        if t == 0:
-            raise ArithmeticError(
-                "w^(p^2r - p^r) = -1 encountered; -1 became a square"
-            )  # impossible for odd n
-        s += ctx.eta(t)
+        if t == 0 and not minus_one_square:
+            raise ArithmeticError("w^(p^2r - p^r) = -1 although -1 is a non-square")
+        s += ctx.eta(t)  # eta(0) = 0
     count = (2 * q - 1) + (q - 1) - s
 
     eta_sum = 0

@@ -11,8 +11,9 @@ Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
 cycle therefore proves the weight inequality.  Tarjan's algorithm splits
 the graph into strongly connected components and Bellman-Ford certifies
-that none of them carries a negative cycle; a bounded exhaustive cycle
-scan double-checks the result.
+that none of them carries a negative cycle.  min_short_cycle_cost, a
+bounded exhaustive cycle scan, is an independent oracle that only the
+tests run against that verdict.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def build_graph() -> CostGraph:
     for u in range(NUM_VERTICES):
         xi0, xi1, g0, g1, g2, g3 = vertex_tuple(u)
         g3_next = (xi0 + 2 * xi1 + g0) // 3
-        cost = 1 + 2 * (xi1 - g0)
+        cost = edge_cost(u)
         for xi1_next in range(3):
             v = vertex_id((xi1, xi1_next, g1, g2, g3, g3_next))
             edges.append((u, v, cost))
@@ -237,23 +238,15 @@ def trace_cycle(n: int, x: int) -> TraceResult:
     """Trace the carry walk of one nonzero residue through the graph.
 
     Builds X_j = x_{r*j}, the carries C_j of the multiply-by-d
-    recurrence Y_j + 3*C_j = 2*X_j + X_{j-1} + C_{j-4}, and the vertex
-    sequence T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1}).
+    recurrence Y_j + 3*C_j = 2*X_j + X_{j-1} + C_{j-4} with Y = d*x
+    (those of digits.family_carries, as -d*x has digits 2 - Y_j), and
+    the vertex sequence T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1}).
     Asserts that every carry lies in {0,1,2}, that every step is a graph
     edge, and that the total cost equals n + w(d*x) - w(x).
     """
-    fam = digits.family_params(n)
-    r = fam.r
-    x %= fam.m
-    if x == 0:
-        raise ValueError("x must be a nonzero residue")
-    xd = digits.canonical_digits(x, 3, n)
-    yd = digits.canonical_digits(fam.d * x, 3, n)
-    s = [2 * xd[i] + xd[(i - r) % n] for i in range(n)]
-    c = digits.carry_sequence(s, yd, 3, n)
-
-    X = [xd[(r * j) % n] for j in range(n)]
-    C = [c[(r * j) % n] for j in range(n)]
+    fam, x, xd, _, c = digits.family_carries(n, x)
+    X = [xd[(fam.r * j) % n] for j in range(n)]
+    C = [c[(fam.r * j) % n] for j in range(n)]
     if any(cj not in (0, 1, 2) for cj in C):
         raise AssertionError(f"carry out of range for x = {x}: {C}")
 
@@ -310,8 +303,9 @@ PAIR_VERTICES = ((0, 2, 2, 0, 2, 0), (2, 0, 0, 2, 0, 2))
 
 
 def graph_report() -> GraphReport:
-    """Reproduce all published graph statistics and the no-negative-cycle
-    verdict, backed by the bounded exhaustive cycle scan."""
+    """Reproduce all published graph statistics and the Bellman-Ford
+    no-negative-cycle verdict; the tests back it with the bounded
+    exhaustive cycle scan."""
     g = build_graph()
     scc = tarjan_scc(g)
     nontrivial = scc.nontrivial

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from . import digits
 from .report import Check, Verdict
 
@@ -289,17 +287,8 @@ def enumerate_sequences() -> tuple[SequencePattern, ...]:
 
 def motif_word(n: int, x: int) -> tuple[str, ...]:
     """The cyclic motif word of a candidate minimizer x (z = -d*x)."""
-    fam = digits.family_params(n)
+    fam, x, xd, zd, c = digits.family_carries(n, x)
     r = fam.r
-    x %= fam.m
-    if x == 0:
-        raise ValueError("x must be a nonzero residue")
-    z = (-fam.d * x) % fam.m
-    xd = digits.canonical_digits(x, 3, n)
-    zd = digits.canonical_digits(z, 3, n)
-    s = [2 * xd[i] + xd[(i - r) % n] + zd[i] for i in range(n)]
-    c = digits.carry_sequence(s, [2] * n, 3, n)
-
     word = []
     for j in range(n):
         values = (
@@ -345,7 +334,7 @@ class MinimizerReport(Verdict):
     checks: list[Check]
 
 
-def check_minimizer_structure(n: int) -> MinimizerReport:
+def check_minimizer_structure(n: int, *, ceiling: int | None = None) -> MinimizerReport:
     """Brute-force oracle for the final structure claim.
 
     Finds every nonzero x minimizing w(x) + w(-d*x), restricts to those
@@ -353,11 +342,7 @@ def check_minimizer_structure(n: int) -> MinimizerReport:
     with w(x) = k = (n-1)/2 and w(x) + w(z) = 2n - 2k = n + 1.
     """
     fam = digits.family_params(n)
-    w = digits.weight_table(3, n)
-    xs = np.arange(1, fam.m, dtype=np.int64)
-    total = w[xs] + w[(-fam.d * xs) % fam.m]
-    min_sum = int(total.min())
-    minimizers = xs[total == min_sum]
+    w, min_sum, minimizers, _ = digits.weight_sums(3, n, fam.d, ceiling=ceiling)
     wx = w[minimizers]
     k = int(wx.min())
     doubly = [int(x) for x in minimizers[wx == k]]

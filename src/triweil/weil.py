@@ -56,11 +56,6 @@ class Spectrum:
     def is_integer(self) -> bool:
         return self.entries is not None
 
-    def sorted_entries(self) -> list[tuple[int, int]]:
-        if self.entries is None:
-            raise SpectrumError("spectrum does not rationalize to integers")
-        return sorted(self.entries.items())
-
 
 def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(trexp, trd): traces of gen^u and of (gen^u)^d, for u = 0..q-2."""

@@ -1,8 +1,12 @@
 """CLI surface: exit codes, payload content, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triweil.cli import main
 
@@ -51,6 +55,15 @@ def test_kernel_command(capsys):
     assert payload["results"]["count_charsum"] == 729
 
 
+@pytest.mark.parametrize("n,direct,charsum", [(2, 21, 27), (4, 381, 243)])
+def test_kernel_even_n_is_flagged(capsys, n, direct, charsum):
+    # -1 is a square at even n, so the character-sum identity breaks
+    code, out = run(capsys, "--json", "kernel", "--n", str(n), "--r", "1")
+    assert code == 1
+    res = json.loads(out)["results"]
+    assert (res["count_direct"], res["count_charsum"]) == (direct, charsum)
+
+
 def test_divisibility_command(capsys):
     code, out = run(capsys, "--json", "divisibility", "--n", "7")
     assert code == 0
@@ -88,11 +101,13 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_over_ceiling_is_usage_error(capsys):
-    code = main(["spectrum", "--family", "15"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "ceiling" in err
+def test_over_ceiling_is_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("TRIWEIL_CEILING", raising=False)
+    for argv in (("spectrum", "--family"), ("divisibility", "--n"), ("proof-check", "--n")):
+        code = main([*argv, "15"])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "ceiling" in err
 
 
 def test_bad_n_is_usage_error(capsys):
@@ -120,3 +135,32 @@ def test_bad_ceiling_env_is_usage_error(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error: ") and "TRIWEIL_CEILING" in err
     assert err.count("\n") == 1
+
+
+_COMMANDS = (
+    ("spectrum", "--family"),
+    ("spectrum", "--d", "--n"),
+    ("spectrum", "--d", "--p", "--n"),
+    ("kernel", "--n", "--r"),
+    ("kernel", "--n"),
+    ("divisibility", "--n"),
+    ("proof-check", "--n"),
+    ("graph-verify",),
+    ("verify-all",),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cli_always_exits_cleanly(data):
+    # every argument vector ends in a report or a usage error, never a traceback
+    sub, *flags = data.draw(st.sampled_from(_COMMANDS))
+    argv = [sub]
+    for flag in flags:
+        argv += [flag, str(data.draw(st.integers(-2, 9)))]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(["--ceiling", str(3**7), *argv])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv

@@ -10,6 +10,8 @@ from triweil.digits import (
     canonical_digits,
     carry_sequence,
     digits_value,
+    family_carries,
+    family_params,
     family_witness,
     stickelberger_bound,
     verify_divisibility,
@@ -33,7 +35,7 @@ def test_weight_of_family_witness_element():
     assert weight(a, 3, n) == 2 == (n - 1) // 2
 
 
-@pytest.mark.parametrize("b,n", [(3, 5), (3, 9), (2, 7), (5, 4)])
+@pytest.mark.parametrize("b,n", [(3, 5), (3, 9), (2, 7), (5, 4), (67, 1)])
 def test_weight_negation_identity_exhaustive(b, n):
     m = b**n - 1
     w = weight_table(b, n)
@@ -43,6 +45,7 @@ def test_weight_negation_identity_exhaustive(b, n):
 
 def test_weight_table_matches_scalar():
     w = weight_table(3, 5)
+    assert w.dtype == np.int8 and w.size == 3**5 - 1
     for x in range(3**5 - 1):
         assert w[x] == weight(x, 3, 5)
 
@@ -101,6 +104,25 @@ def test_stickelberger_family_bounds():
         m_mod = 3**n - 1
         for j in rep.minimizers:
             assert w[j] + w[(-d * j) % m_mod] == rep.m
+
+
+@pytest.mark.parametrize("d", [5, 65])
+def test_stickelberger_wide_digits(d):
+    # base 67 needs int16 weights: at d = -1 the sum w(65) + w(65) exceeds int8
+    want = min(weight(j, 67, 1) + weight(-d * j, 67, 1) for j in range(1, 66))
+    rep = stickelberger_bound(67, 1, d)
+    assert rep.m == want
+    assert rep.alt_form_equal
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_family_carries_match_multiply_by_d(n):
+    # carries against the all-2 string equal those of 2x_i + x_{i-r} against d*x
+    fam = family_params(n)
+    for x in range(1, fam.m):
+        _, _, xd, _, c = family_carries(n, x)
+        s = [2 * xd[i] + xd[(i - fam.r) % n] for i in range(n)]
+        assert c == carry_sequence(s, canonical_digits(fam.d * x, 3, n), 3, n)
 
 
 def test_stickelberger_identity_exponent():
