@@ -214,7 +214,7 @@ def cmd_proof_check(args) -> RunReport:
 
 def cmd_verify_all(args) -> list[RunReport]:
     reports = []
-    for n in (5, 7, 9):
+    for n in (5, 7, 9, 11):
         a = argparse.Namespace(family=n, p=3, n=n, d=None, ceiling=args.ceiling)
         reports.append(cmd_spectrum(a))
     for n, r in ((5, 1), (5, 4), (7, 2), (9, 7)):

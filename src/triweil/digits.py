@@ -139,9 +139,11 @@ def weight_sums(
         raise ValueError(f"d = {d} is not coprime to {p}^{n} - 1")
     check_ceiling(p, n, ceiling)
     w = weight_table(p, n)
-    dj = np.arange(1, m, dtype=np.int64) * (d % m) % m  # nonzero; int64 while m < 3e9
+    dj = np.arange(1, m, dtype=np.int64)
+    dj *= d % m
+    dj %= m  # d*j mod m, nonzero; int64 while m < 3e9
     min_diff = int((w[dj] - w[1:]).min())
-    total = w[m - dj] + w[1:]
+    total = w[np.subtract(m, dj, out=dj)] + w[1:]  # dj now holds -d*j mod m
     min_sum = int(total.min())
     return w, min_sum, np.flatnonzero(total == min_sum) + 1, min_diff
 

@@ -7,8 +7,8 @@ discrete-log table for a fixed generator, so multiplication, inversion,
 Frobenius powers and the quadratic character are table lookups.  The two
 representations convert losslessly.
 
-All tables are built once at construction; a FieldCtx is immutable and
-safe to share between workers.
+All tables are built once at construction; a FieldCtx is immutable, and
+build_field returns one shared instance per (p, n).
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ counts of x with Tr(x^d - a*x) = t; no floating point is involved.  When
 the counts on the nonzero trace fibers agree the sum is the rational
 integer N_0 - N_1, which for odd characteristic happens exactly when
 d = 1 mod p-1.
+
+One sum costs O(q) with the trace tables.  The whole spectrum over the
+nonzero coefficients is one exact p-ary Walsh-Hadamard transform of the
+fiber indicator of Tr(x^d): n*p^2*q integer adds in an O(q) working set.
 """
 
 from __future__ import annotations
@@ -89,20 +93,65 @@ def weil_sum(ctx: FieldCtx, d: int, a: int) -> CharSumValue:
     return CharSumValue(p=ctx.p, fiber_counts=_fiber_counts(trd, tra, ctx.p))
 
 
+def _shift_axis(T: np.ndarray) -> np.ndarray:
+    """One digit axis of the transform, (c, rest, s) -> (rest, b, s).
+
+    out[r, b, s] = sum over c of T[c, r, (s + c*b) mod p]: the fiber axis
+    of slice c is shifted cyclically by c*b.  Integer adds only.  The new b
+    axis goes behind the rest, so n - 1 steps visit each digit axis once.
+    """
+    p = T.shape[0]
+    ar = np.arange(p)
+    shift = (ar[:, None] + ar) % p  # shift[k, s] = (k + s) mod p
+    out = np.repeat(T[0][:, None, :], p, axis=1)
+    buf = np.empty_like(out)
+    for c in range(1, p):
+        # indices are in range; "clip" skips the buffered bounds check
+        np.take(T[c], shift[c * ar % p], axis=1, out=buf, mode="clip")
+        out += buf
+    return out
+
+
 def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     """Spectrum of the sum as a runs over the nonzero field elements.
 
-    O(q) per coefficient with precomputed trace tables, O(q^2) overall.
+    Write x = sum c_j alpha^j with digit vector c and put b_j = Tr(a*alpha^j).
+    Tr is F_p-linear, so Tr(a*x) = <c, b> and the fiber counts of the sum
+    at a are N_t(b) = #{c : Tr(x^d) - <c, b> = t}.  The trace form is
+    nondegenerate, so a -> b is an F_p-linear bijection of F onto F_p^n:
+    the multiset of sums over a != 0 equals the multiset of N(b) over
+    b != 0, and no a -> b map is needed (b -> -b is a bijection too, so the
+    direction of the shift is equally free).
+
+    N is a p-ary Walsh-Hadamard transform of the fiber indicator of
+    Tr(x^d) over the digits of c, taken one digit axis at a time with
+    cyclic shifts of the fiber axis: integer adds, no roots of unity, any p,
+    n*p^2*q element operations.  It runs in chunks of one top digit of b,
+    so the working set is a few arrays of q counts, never q*p.
     """
     if d < 1:
         raise ValueError("exponent must be positive")
-    p, Q = ctx.p, ctx.q - 1
-    trexp, trd = _trace_of_powers(ctx, d)
-    doubled = np.concatenate([trexp, trexp])
+    p, n, q = ctx.p, ctx.n, ctx.q
+    Q = q - 1
+    tr_xd = np.zeros(q, dtype=np.int64)  # Tr(x^d) by the code of x; 0 at x = 0
+    tr_xd[1:] = ctx.trace_table[ctx.exp[ctx.log[1:] * (d % Q) % Q]]
+    tr_xd = tr_xd.reshape(p, q // p)  # row = top digit of the code
+    top = np.arange(p)[:, None]
+    low = np.arange(q // p) * p  # flat index of (remaining digits, fiber 0)
+    count_dtype = np.min_scalar_type(q)  # every count is at most q
     fibers: dict[tuple[int, ...], int] = {}
-    for la in range(Q):
-        key = _fiber_counts(trd, doubled[la : la + Q], p)
-        fibers[key] = fibers.get(key, 0) + 1
+    for beta in range(p):
+        # the top axis at b_{n-1} = beta, then the other n - 1 axes
+        T = np.bincount(((tr_xd - top * beta) % p + low).ravel(), minlength=q).astype(count_dtype)
+        for _ in range(n - 1):
+            T = _shift_axis(T.reshape(p, -1, p))
+        rows = T.reshape(-1, p)[1 if beta == 0 else 0 :]  # drop b = 0: row 0, chunk 0
+        # count equal rows through one void view of each row
+        row_dtype = np.dtype((np.void, rows.itemsize * p))
+        keys, mults = np.unique(rows.view(row_dtype), return_counts=True)
+        for key, mult in zip(keys.view(count_dtype).reshape(-1, p).tolist(), mults.tolist()):
+            key = tuple(key)
+            fibers[key] = fibers.get(key, 0) + mult
 
     entries: dict[int, int] | None = {}
     for key, mult in fibers.items():
@@ -111,7 +160,7 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
             entries = None
             break
         entries[csv.value] = entries.get(csv.value, 0) + mult
-    return Spectrum(p=p, n=ctx.n, d=d, fiber_entries=fibers, entries=entries)
+    return Spectrum(p=p, n=n, d=d, fiber_entries=fibers, entries=entries)
 
 
 def power_moment(s: Spectrum, k: int) -> int:

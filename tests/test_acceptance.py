@@ -26,6 +26,7 @@ def test_criterion_1_family_spectra():
         5: ({0: 161, 27: 45, -27: 36}, 1.0),
         7: ({0: 1457, 81: 378, -81: 351}, 1.0),
         9: ({0: 13121, 243: 3321, -243: 3240}, 60.0),
+        11: ({0: 118097, 729: 29646, -729: 29403}, 10.0),
     }
     for n, (spec_expected, budget) in expected.items():
         ctx = build_field(3, n)  # table construction excluded from the budget

@@ -2,6 +2,7 @@
 mini-field oracle for the smallest interesting field."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -77,6 +78,33 @@ def test_spectrum_against_independent_oracle_q27():
     ctx = build_field(3, 3)
     for d in (1, 5, 7, 11):
         assert spectrum(ctx, d).entries == oracle_spectrum_q27(d)
+
+
+@pytest.mark.parametrize(
+    "p, n, d",
+    [
+        (2, 5, 3),
+        (3, 1, 1),
+        (3, 4, 2),  # d not coprime to q - 1
+        (3, 5, 83),
+        (3, 6, 1),  # degenerate
+        (5, 3, 3),
+        (5, 4, 7),
+        (7, 3, 5),
+        (7, 2, 5),
+        (11, 1, 3),
+    ],
+)
+def test_spectrum_transform_matches_per_coefficient_sums(p, n, d):
+    # the transform against one O(q) weil_sum per nonzero coefficient
+    ctx = build_field(p, n)
+    sums = [weil_sum(ctx, d, ctx.from_index(i)) for i in range(ctx.q - 1)]
+    spec = spectrum(ctx, d)
+    assert spec.fiber_entries == Counter(v.fiber_counts for v in sums)
+    if all(v.is_integer for v in sums):
+        assert spec.entries == Counter(v.value for v in sums)
+    else:
+        assert spec.entries is None
 
 
 # ---------------------------------------------------------------------------
