@@ -75,10 +75,14 @@ def weight(x: int, b: int, n: int) -> int:
     return sum(canonical_digits(x, b, n))
 
 
+def _weight_dtype(b: int, n: int) -> np.dtype:
+    # weights are below (b-1)*n, so this dtype holds any sum or difference of two
+    return np.min_scalar_type(-2 * (b - 1) * n)
+
+
 def weight_table(b: int, n: int) -> np.ndarray:
     """weight(x) for every residue x in 0..b^n-2, built one digit at a time."""
-    # weights are below (b-1)*n, so this dtype holds any sum or difference of two
-    dtype = np.min_scalar_type(-2 * (b - 1) * n)
+    dtype = _weight_dtype(b, n)
     w = np.zeros(1, dtype=dtype)
     for _ in range(n):
         w = (np.arange(b, dtype=dtype)[:, None] + w).ravel()  # prepend a top digit
@@ -137,7 +141,8 @@ def weight_sums(
     m = p**n - 1
     if math.gcd(d, m) != 1:
         raise ValueError(f"d = {d} is not coprime to {p}^{n} - 1")
-    check_ceiling(p, n, ceiling)
+    # the weight table and its int64 index d*j mod m
+    check_ceiling(p, n, ceiling, entry_bytes=_weight_dtype(p, n).itemsize + 8)
     w = weight_table(p, n)
     dj = np.arange(1, m, dtype=np.int64)
     dj *= d % m

@@ -164,6 +164,16 @@ def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 
+def _add_codes(x, y, p: int, n: int):
+    """Digit-wise sum of codes x and y (Python ints or int64 arrays)."""
+    s, mult = 0, 1
+    for _ in range(n):
+        s += (x + y) % p * mult
+        x, y = x // p, y // p  # never in place: x and y may be the caller's arrays
+        mult *= p
+    return s if isinstance(s, np.ndarray) else int(s)
+
+
 @dataclass(frozen=True, eq=False)
 class FieldCtx:
     """Immutable description of GF(p^n) with precomputed tables."""
@@ -196,24 +206,19 @@ class FieldCtx:
 
     # -- arithmetic --------------------------------------------------------
 
-    def add(self, x: int, y: int) -> int:
-        p = self.p
-        s, mult = 0, 1
-        while x or y:
-            s += ((x + y) % p) * mult
-            x //= p
-            y //= p
-            mult *= p
-        return s
+    def add(self, x, y):
+        """x + y for codes given as Python ints (returns an int) or int64 arrays."""
+        return _add_codes(x, y, self.p, self.n)
 
-    def neg(self, x: int) -> int:
+    def neg(self, x):
+        """-x for a code given as a Python int (returns an int) or an int64 array."""
         p = self.p
         s, mult = 0, 1
-        while x:
-            s += (-x % p) * mult
-            x //= p
+        for _ in range(self.n):
+            s += -x % p * mult
+            x = x // p  # never in place: x may be the caller's array
             mult *= p
-        return s
+        return s if isinstance(s, np.ndarray) else int(s)
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -265,13 +270,23 @@ def default_ceiling() -> int:
         raise FieldError(f"${CEILING_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def check_ceiling(p: int, n: int, ceiling: int | None = None) -> None:
-    """Refuse, before allocating, a field or digit-weight table of p^n > ceiling entries."""
+FIELD_ENTRY_BYTES = 24  # exp, log and trace_table: one int64 each per element
+
+
+def check_ceiling(
+    p: int, n: int, ceiling: int | None = None, entry_bytes: int = FIELD_ENTRY_BYTES
+) -> None:
+    """Refuse, before allocating, tables of p^n > ceiling entries.
+
+    entry_bytes (the table bytes per entry, the field's by default) only
+    sizes the message, which states the memory the tables would take.
+    """
     q = p**n
     limit = ceiling if ceiling is not None else default_ceiling()
     if q > limit:
         raise FieldError(
-            f"q = {p}^{n} = {q} exceeds the table ceiling {limit}; "
+            f"q = {p}^{n} = {q} exceeds the table ceiling {limit} "
+            f"(~{q * entry_bytes / 2**20:.0f} MiB of tables); "
             f"raise it via ceiling= or ${CEILING_ENV_VAR}"
         )
 
@@ -307,20 +322,30 @@ def _build_field(p: int, n: int) -> FieldCtx:
         return True
 
     gen = next(c for c in range(1, q) if has_full_order(c))
-
-    exp = np.empty(q - 1, dtype=np.int64)
     gen_digits = list(code_digits(gen, p, n))
-    cur = [1]
-    for i in range(q - 1):
-        exp[i] = digits_code(cur, p)
-        cur = _mulmod(cur, gen_digits, modulus, p)
-    if cur != [1]:
+
+    # P[x] = code(gen * x); the images of the basis are gen * alpha^k
+    P = _linear_table([_reduce([0] * k + gen_digits, modulus, p) for k in range(n)], p, n)
+
+    # exp by doubling: P multiplies by gen^k while exp[:k] is filled
+    Q = q - 1
+    exp = np.empty(Q, dtype=np.int64)
+    exp[0] = 1
+    k = 1
+    while k < Q:
+        m = min(k, Q - k)
+        np.take(P, exp[:m], out=exp[k : k + m])
+        k += m
+        if k < Q:
+            P = P[P]
+    del P
+    if _mulmod(list(code_digits(int(exp[-1]), p, n)), gen_digits, modulus, p) != [1]:
         raise FieldError("generator power cycle did not close")  # defensive
 
     log = np.full(q, -1, dtype=np.int64)
-    log[exp] = np.arange(q - 1)
+    log[exp] = np.arange(Q)
 
-    trace_table = _trace_table(p, n, q, modulus, exp, log)
+    trace_table = _trace_table(p, n, q, exp, log)
 
     return FieldCtx(
         p=p, n=n, q=q, modulus=modulus, gen=gen,
@@ -328,9 +353,23 @@ def _build_field(p: int, n: int) -> FieldCtx:
     )
 
 
-def _trace_table(p, n, q, modulus, exp, log) -> np.ndarray:
-    if n == 1:
-        return np.arange(q, dtype=np.int64) % p
+def _linear_table(images: list[list[int]], p: int, width: int) -> np.ndarray:
+    """Codes of an F_p-linear map on all p^len(images) codes.
+
+    images[k] holds the digits (little-endian, at most width of them) of
+    the image of alpha^k.  The table grows one digit of the argument at a
+    time: the codes with top digit c at position k map to
+    c * images[k] + (the image of the lower digits), added digit-wise.
+    """
+    digit = np.arange(p, dtype=np.int64)
+    table = np.zeros(1, dtype=np.int64)
+    for image in images:
+        scaled = sum(digit * c % p * p**j for j, c in enumerate(image))  # codes of c * image
+        table = _add_codes(scaled[:, None], table, p, width).ravel()
+    return table
+
+
+def _trace_table(p, n, q, exp, log) -> np.ndarray:
     # Tr is F_p-linear: evaluate it on the power basis, then extend by digits.
     qm1 = q - 1
     basis_tr = []
@@ -343,9 +382,5 @@ def _trace_table(p, n, q, modulus, exp, log) -> np.ndarray:
             acc_digits = [(a + b) % p for a, b in zip(acc_digits, fd)]
         if any(acc_digits[1:]):
             raise FieldError("trace left the prime field")  # defensive
-        basis_tr.append(acc_digits[0])
-    codes = np.arange(q, dtype=np.int64)
-    tr = np.zeros(q, dtype=np.int64)
-    for j in range(n):
-        tr += (codes // p**j) % p * basis_tr[j]
-    return tr % p
+        basis_tr.append(acc_digits[:1])
+    return _linear_table(basis_tr, p, 1)

@@ -6,6 +6,12 @@ x^(p^2r) * y^(p^r) + x^(p^r) * y^(p^2r) + x*y = 0.  Two independent
 routes compute |K|: direct point counting (via the x = w*y substitution,
 with a naive quadratic scan kept as a test oracle), and a quadratic
 character sum which is O(q).
+
+Both O(q) routes run on discrete logs as array operations: the nonzero w
+is gen^lw, a power w^e is exp[lw*e mod (q-1)], a quotient is a difference
+of logs, and the quadratic character is the parity of the log.  The logs
+are taken in blocks of LOG_BLOCK, so the temporaries stay a few blocks
+in size, far below the field's own tables.
 """
 
 from __future__ import annotations
@@ -13,8 +19,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ff import FieldCtx
 from .report import Check, Verdict
+
+LOG_BLOCK = 1 << 15  # discrete logs per array step
+
+
+def _log_blocks(ctx: FieldCtx):
+    """The logs 0..q-2 of the nonzero elements, as int64 blocks."""
+    Q = ctx.q - 1
+    for start in range(0, Q, LOG_BLOCK):
+        yield np.arange(start, min(start + LOG_BLOCK, Q), dtype=np.int64)
 
 
 def _on_curve(ctx: FieldCtx, r: int, x: int, y: int) -> bool:
@@ -40,21 +57,22 @@ def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
 
     Pairs with x = 0 or y = 0 always satisfy the equation (2q - 1
     points).  For x, y nonzero the equation becomes
-    A(w) * y^(p^r + p^2r - 2) = -w with A(w) = w^(p^2r) + w^(p^r),
-    and the number of y solving it is read off the discrete log.
+    A(w) * y^e = -w with e = p^r + p^2r - 2 and A(w) = w^(p^2r) + w^(p^r),
+    and the number of y solving it is read off the discrete log: with
+    w = gen^lw, log(-w/A(w)) = log(-1) + lw - log(A(w)) mod q - 1, and
+    there are g = gcd(e, q - 1) solutions y when g divides it, none when
+    A(w) = 0 (then A(w)*y^e is 0 but -w is not).  Each block of logs is
+    one array step.
     """
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
-    e = (pow(p, r, Q) + pow(p, 2 * r, Q) - 2) % Q
-    g = math.gcd(e, Q)
+    frob_r, frob_2r = pow(p, r, Q), pow(p, 2 * r, Q)
+    g = math.gcd((frob_r + frob_2r - 2) % Q, Q)
+    log_minus_one = ctx.index(ctx.neg(1))
     count = 2 * q - 1
-    for lw in range(Q):
-        w = ctx.from_index(lw)
-        aw = ctx.add(ctx.frobenius(w, 2 * r), ctx.frobenius(w, r))
-        if aw == 0:
-            continue  # A(w)*y^e is 0 but -w is not: no solutions
-        target = ctx.mul(ctx.neg(w), ctx.inv(aw))
-        if ctx.index(target) % g == 0:
-            count += g
+    for lw in _log_blocks(ctx):
+        aw = ctx.add(ctx.exp[lw * frob_2r % Q], ctx.exp[lw * frob_r % Q])
+        solvable = (log_minus_one + lw - ctx.log[aw]) % Q % g == 0
+        count += g * int(np.count_nonzero(solvable & (aw != 0)))
     return count
 
 
@@ -65,29 +83,43 @@ class CharSumCount:
     hypotheses_ok: bool  # n odd and gcd(r, n) = 1
 
 
+def _eta_power_plus_one(ctx: FieldCtx, e: int) -> tuple[int, int]:
+    """(sum of eta(w^e + 1), number of w with w^e = -1) over the nonzero w.
+
+    w^e = exp[lw*e mod q-1] and eta is the parity of the log (eta(0) = 0),
+    one block of logs at a time.  Odd characteristic only.
+    """
+    Q = ctx.q - 1
+    total = zeros = 0
+    for lw in _log_blocks(ctx):
+        t = ctx.add(ctx.exp[lw * e % Q], 1)
+        nonzero = t != 0
+        odd = int(np.count_nonzero(nonzero & (ctx.log[t] % 2 == 1)))
+        nonzeros = int(np.count_nonzero(nonzero))
+        total += nonzeros - 2 * odd
+        zeros += t.size - nonzeros
+    return total, zeros
+
+
 def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
     """|K| through the quadratic character, O(q).
 
     |K| = (2q - 1) + (q - 1) - sum over nonzero w of eta(w^(p^2r - p^r) + 1).
     Outside the hypotheses (n odd, gcd(r, n) = 1) the count is still
     returned, just flagged, so the identity can be observed failing.
+    Both character sums run on discrete logs, one block of logs at a time.
     """
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
     e2 = (pow(p, 2 * r, Q) - pow(p, r, Q)) % Q
     # w^(p^2r - p^r) is a square, so it meets -1 only when -1 is a square
     minus_one_square = ctx.eta(ctx.neg(1)) == 1
-    s = 0
-    for lw in range(Q):
-        v = ctx.from_index((lw * e2) % Q)
-        t = ctx.add(v, 1)
-        if t == 0 and not minus_one_square:
-            raise ArithmeticError("w^(p^2r - p^r) = -1 although -1 is a non-square")
-        s += ctx.eta(t)  # eta(0) = 0
+    s, hits_minus_one = _eta_power_plus_one(ctx, e2)
+    if hits_minus_one and not minus_one_square:
+        raise ArithmeticError("w^(p^2r - p^r) = -1 although -1 is a non-square")
     count = (2 * q - 1) + (q - 1) - s
 
-    eta_sum = 0
-    for u in ctx.elements():
-        eta_sum += ctx.eta(ctx.add(ctx.mul(u, u), 1))
+    # u = 0 gives eta(1) = 1; the nonzero u = gen^lu have u^2 = exp[2*lu]
+    eta_sum = 1 + _eta_power_plus_one(ctx, 2)[0]
 
     hyp = ctx.n % 2 == 1 and math.gcd(r, ctx.n) == 1
     return CharSumCount(count=count, eta_sum=eta_sum, hypotheses_ok=hyp)

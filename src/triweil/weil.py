@@ -13,6 +13,7 @@ fiber indicator of Tr(x^d): n*p^2*q integer adds in an O(q) working set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,12 +62,19 @@ class Spectrum:
         return self.entries is not None
 
 
+@functools.lru_cache(maxsize=1)
 def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(trexp, trd): traces of gen^u and of (gen^u)^d, for u = 0..q-2."""
+    """(trexp, trd): traces of gen^u and of (gen^u)^d, for u = 0..q-2.
+
+    Kept for the last (ctx, d), so repeated weil_sum calls on one field and
+    exponent share the tables; both are read-only.
+    """
     Q = ctx.q - 1
     u = np.arange(Q)
     trexp = ctx.trace_table[ctx.exp].astype(np.int64)
     trd = trexp[(u * (d % Q)) % Q]
+    trexp.setflags(write=False)
+    trd.setflags(write=False)
     return trexp, trd
 
 

@@ -27,6 +27,7 @@ def test_criterion_1_family_spectra():
         7: ({0: 1457, 81: 378, -81: 351}, 1.0),
         9: ({0: 13121, 243: 3321, -243: 3240}, 60.0),
         11: ({0: 118097, 729: 29646, -729: 29403}, 10.0),
+        13: ({0: 1062881, 2187: 266085, -2187: 265356}, 10.0),
     }
     for n, (spec_expected, budget) in expected.items():
         ctx = build_field(3, n)  # table construction excluded from the budget
@@ -65,7 +66,7 @@ def test_criterion_2_moment_identities():
 def test_criterion_3_kernel_counts():
     t0 = time.perf_counter()
     ok = True
-    for n, r in [(5, 1), (5, 4), (7, 2), (9, 7)]:
+    for n, r in [(5, 1), (5, 4), (7, 2), (9, 7), (11, 3)]:
         ctx = build_field(3, n)
         direct = kernel_curve.kernel_count_direct(ctx, r)
         charsum = kernel_curve.kernel_count_charsum(ctx, r).count

@@ -110,6 +110,18 @@ def test_over_ceiling_is_usage_error(capsys, monkeypatch):
         assert "ceiling" in err
 
 
+def test_ceiling_message_states_table_memory(capsys, monkeypatch):
+    monkeypatch.delenv("TRIWEIL_CEILING", raising=False)
+    tail = "raise it via ceiling= or $TRIWEIL_CEILING\n"
+    head = "error: q = 3^15 = 14348907 exceeds the table ceiling 1594323"
+    assert main(["spectrum", "--family", "15"]) == 2
+    # exp, log and trace_table: three int64 tables
+    assert capsys.readouterr().err == f"{head} (~328 MiB of tables); {tail}"
+    assert main(["divisibility", "--n", "15"]) == 2
+    # the int8 weight table and its int64 index
+    assert capsys.readouterr().err == f"{head} (~123 MiB of tables); {tail}"
+
+
 def test_bad_n_is_usage_error(capsys):
     assert main(["divisibility", "--n", "6"]) == 2
     capsys.readouterr()

@@ -150,6 +150,38 @@ def test_index_roundtrip():
         assert ctx.log[0] == -1
 
 
+@pytest.mark.parametrize(
+    "p,n", [(2, 5), (3, 1), (3, 7), (5, 3), (7, 2), (1009, 1), (3, 9)]
+)
+def test_exp_table_steps_by_generator(p, n):
+    # the doubled table against one polynomial-route multiplication per step
+    ctx = build_field(p, n)
+    Q = ctx.q - 1
+    exp = ctx.exp.tolist()
+    assert exp[0] == 1
+    for i in range(Q):
+        assert exp[(i + 1) % Q] == poly_mul(ctx, exp[i], ctx.gen), i
+    assert np.array_equal(np.sort(ctx.exp), np.arange(1, ctx.q))
+    assert np.array_equal(ctx.log[ctx.exp], np.arange(Q))
+
+
+@pytest.mark.parametrize("p,n", [(2, 7), (3, 5), (5, 3), (7, 2), (1009, 1)])
+def test_add_neg_on_arrays_match_scalars(p, n):
+    ctx = build_field(p, n)
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, ctx.q, 500)
+    y = rng.integers(0, ctx.q, 500)
+    x0, y0 = x.copy(), y.copy()
+    s, m = ctx.add(x, y), ctx.neg(x)
+    assert s.dtype == m.dtype == np.int64
+    assert s.tolist() == [ctx.add(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert m.tolist() == [ctx.neg(a) for a in x.tolist()]
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)  # inputs untouched
+    assert type(ctx.add(int(x[0]), int(y[0]))) is int
+    assert type(ctx.neg(int(x[0]))) is int
+    assert type(ctx.add(x[0], y[0])) is int  # numpy scalars in, Python int out
+
+
 def test_quadratic_character():
     ctx = build_field(3, 5)
     assert ctx.eta(0) == 0

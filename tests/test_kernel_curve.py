@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from triweil import kernel_curve
 from triweil.ff import build_field
 from triweil.kernel_curve import (
     fourth_moment_via_kernel,
@@ -77,3 +78,40 @@ def test_report_passes():
     rep = kernel_report(build_field(3, 5), 4)
     assert rep.passed
     assert rep.axes_count == 2 * 243 - 1
+
+
+@pytest.mark.parametrize("n,direct,charsum", [(2, 21, 27), (4, 381, 243)])
+def test_even_n_counts_differ(n, direct, charsum):
+    ctx = build_field(3, n)
+    assert kernel_count_direct(ctx, 1) == direct
+    out = kernel_count_charsum(ctx, 1)
+    assert out.count == charsum and out.hypotheses_ok is False
+
+
+@pytest.mark.parametrize("p,n,r", [(3, 5, 4), (3, 4, 1), (5, 3, 1), (7, 2, 1)])
+def test_counts_do_not_depend_on_the_block(monkeypatch, p, n, r):
+    ctx = build_field(p, n)
+    whole = kernel_count_direct(ctx, r), kernel_count_charsum(ctx, r)
+    monkeypatch.setattr(kernel_curve, "LOG_BLOCK", 7)  # many blocks, a ragged last one
+    assert (kernel_count_direct(ctx, r), kernel_count_charsum(ctx, r)) == whole
+
+
+def test_minus_one_branch_unreachable_for_odd_p():
+    # p^2r - p^r = p^r (p^r - 1) is even, so w^(p^2r - p^r) is a square and
+    # never equals a non-square -1: the ArithmeticError branch cannot fire
+    for p, n in [(3, 3), (3, 5), (7, 3), (11, 3)]:  # p = 3 mod 4, n odd
+        ctx = build_field(p, n)
+        assert ctx.eta(ctx.neg(1)) == -1
+        for r in range(1, n):
+            e2 = (p ** (2 * r) - p**r) % (ctx.q - 1)
+            assert e2 % 2 == 0
+            assert kernel_curve._eta_power_plus_one(ctx, e2)[1] == 0
+
+
+def test_minus_one_branch_raises(monkeypatch):
+    # force the exponent to 1: w = -1 meets the non-square -1 of GF(3^5)
+    orig = kernel_curve._eta_power_plus_one
+    assert orig(build_field(3, 5), 1)[1] == 1
+    monkeypatch.setattr(kernel_curve, "_eta_power_plus_one", lambda ctx, e: orig(ctx, 1))
+    with pytest.raises(ArithmeticError, match="non-square"):
+        kernel_count_charsum(build_field(3, 5), 1)

@@ -110,6 +110,18 @@ def test_spectrum_transform_matches_per_coefficient_sums(p, n, d):
 # ---------------------------------------------------------------------------
 
 
+def test_weil_sum_tables_shared_per_field_and_exponent():
+    from triweil.weil import _trace_of_powers
+
+    ctx5, ctx7 = build_field(3, 5), build_field(3, 7)
+    first = [weil_sum(ctx5, 29, a) for a in range(1, 40)]
+    assert _trace_of_powers(ctx5, 29) is _trace_of_powers(ctx5, 29)
+    assert not any(t.flags.writeable for t in _trace_of_powers(ctx5, 29))
+    weil_sum(ctx5, 11, 3)
+    weil_sum(ctx7, 29, 3)  # each switch of (ctx, d) replaces the kept tables
+    assert [weil_sum(ctx5, 29, a) for a in range(1, 40)] == first
+
+
 def test_sum_at_zero_vanishes():
     ctx = build_field(3, 5)
     for d in (5, 83):
