@@ -11,7 +11,6 @@ from .weil import (
     weil_sum,
 )
 from .kernel_curve import (
-    fourth_moment_via_kernel,
     kernel_count_charsum,
     kernel_count_direct,
     kernel_report,

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from . import digits, kernel_curve, motif_graph, proof_lab, weil
@@ -24,13 +24,17 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
 
+# what a command returns: its params, its results and its checks
+Outcome = tuple[dict[str, Any], dict[str, Any], list[Check]]
+
+
 @dataclass
 class RunReport(Verdict):
     command: str
     params: dict[str, Any]
     results: dict[str, Any]
-    checks: list[Check] = field(default_factory=list)
-    wall_time_ms: float = 0.0
+    checks: list[Check]
+    wall_time_ms: float
 
     def to_json(self) -> str:
         # wall time is excluded: json output is byte-stable across runs
@@ -79,47 +83,35 @@ def _field_params(ctx) -> dict[str, Any]:
     return {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus)}
 
 
-def cmd_spectrum(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_spectrum(args) -> Outcome:
     if args.family is not None:
         rep = weil.check_family(args.family, ceiling=args.ceiling)
         params = _field_params(rep.ctx) | {"d": rep.d, "r": rep.r}
-        results = {"spectrum": dict(sorted(rep.spectrum.entries.items()))}
-        checks = list(rep.checks)
-    else:
-        ctx = build_field(args.p, args.n, ceiling=args.ceiling)
-        params = _field_params(ctx) | {"d": args.d}
-        spec = weil.spectrum(ctx, args.d)
-        checks = []
-        if spec.is_integer:
-            results = {
-                "spectrum": dict(sorted(spec.entries.items())),
-                "moment_1": weil.power_moment(spec, 1),
-                "moment_2": weil.power_moment(spec, 2),
-                "moment_4": weil.power_moment(spec, 4),
-            }
-            checks = [
-                Check("moment.1", ctx.q, results["moment_1"]),
-                Check("moment.2", ctx.q**2, results["moment_2"]),
-            ]
-        else:
-            results = {
-                "spectrum_integer": False,
-                "fiber_spectrum": {
-                    str(list(k)): v for k, v in sorted(spec.fiber_entries.items())
-                },
-            }
-    return RunReport(
-        command="spectrum",
-        params=params,
-        results=results,
-        checks=checks,
-        wall_time_ms=(time.perf_counter() - t0) * 1000,
-    )
+        return params, {"spectrum": dict(sorted(rep.spectrum.entries.items()))}, rep.checks
+    weil.check_spectrum_work(args.p, args.n, args.ceiling)
+    ctx = build_field(args.p, args.n, ceiling=args.ceiling)
+    params = _field_params(ctx) | {"d": args.d}
+    spec = weil.spectrum(ctx, args.d)
+    if not spec.is_integer:
+        results = {
+            "spectrum_integer": False,
+            "fiber_spectrum": {str(list(k)): v for k, v in sorted(spec.fiber_entries.items())},
+        }
+        return params, results, []
+    results = {
+        "spectrum": dict(sorted(spec.entries.items())),
+        "moment_1": weil.power_moment(spec, 1),
+        "moment_2": weil.power_moment(spec, 2),
+        "moment_4": weil.power_moment(spec, 4),
+    }
+    checks = [
+        Check("moment.1", ctx.q, results["moment_1"]),
+        Check("moment.2", ctx.q**2, results["moment_2"]),
+    ]
+    return params, results, checks
 
 
-def cmd_kernel(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_kernel(args) -> Outcome:
     ctx = build_field(3, args.n, ceiling=args.ceiling)
     rep = kernel_curve.kernel_report(ctx, args.r)
     results = {
@@ -128,34 +120,20 @@ def cmd_kernel(args) -> RunReport:
         "axes_count": rep.axes_count,
         "eta_sum": rep.eta_sum,
     }
-    return RunReport(
-        command="kernel",
-        params=_field_params(ctx) | {"r": args.r},
-        results=results,
-        checks=list(rep.checks),
-        wall_time_ms=(time.perf_counter() - t0) * 1000,
-    )
+    return _field_params(ctx) | {"r": args.r}, results, rep.checks
 
 
-def cmd_divisibility(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_divisibility(args) -> Outcome:
     rep = digits.verify_divisibility(args.n, ceiling=args.ceiling)
     results = {
         "min_weight_sum": rep.min_weight_sum,
         "num_minimizers": rep.num_minimizers,
         "minimizers_capped": list(rep.minimizers),
     }
-    return RunReport(
-        command="divisibility",
-        params={"n": args.n, "r": rep.r, "d": rep.d},
-        results=results,
-        checks=list(rep.checks),
-        wall_time_ms=(time.perf_counter() - t0) * 1000,
-    )
+    return {"n": args.n, "r": rep.r, "d": rep.d}, results, rep.checks
 
 
-def cmd_graph_verify(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_graph_verify(args) -> Outcome:
     rep = motif_graph.graph_report()
     results = {
         "vertices": rep.num_vertices,
@@ -166,17 +144,10 @@ def cmd_graph_verify(args) -> RunReport:
         "pair_cycle_cost": rep.pair_cycle_cost,
         "negative_cycle": list(rep.negative_cycle) if rep.negative_cycle else None,
     }
-    return RunReport(
-        command="graph-verify",
-        params={},
-        results=results,
-        checks=list(rep.checks),
-        wall_time_ms=(time.perf_counter() - t0) * 1000,
-    )
+    return {}, results, rep.checks
 
 
-def cmd_proof_check(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_proof_check(args) -> Outcome:
     checks: list[Check] = []
 
     motifs = proof_lab.derive_motifs()
@@ -203,28 +174,30 @@ def cmd_proof_check(args) -> RunReport:
         "num_minimizers": rep.num_minimizers,
         "num_doubly_minimal": rep.num_doubly_minimal,
     }
+    return {"n": n, "r": rep.r, "d": rep.d}, results, checks
+
+
+# the whole desk-scale reproduction, one argument vector per report
+VERIFY_ALL = (
+    *(("spectrum", "--family", str(n)) for n in (5, 7, 9, 11)),
+    *(("kernel", "--n", str(n), "--r", str(r)) for n, r in ((5, 1), (5, 4), (7, 2), (9, 7))),
+    *(("divisibility", "--n", str(n)) for n in (5, 7, 9, 11, 13)),
+    ("graph-verify",),
+    *(("proof-check", "--n", str(n)) for n in (5, 7, 9)),
+)
+
+
+def _run(args) -> RunReport:
+    """Run one command and time it."""
+    t0 = time.perf_counter()
+    params, results, checks = args.func(args)
     return RunReport(
-        command="proof-check",
-        params={"n": n, "r": rep.r, "d": rep.d},
+        command=args.subcommand,
+        params=params,
         results=results,
-        checks=checks,
+        checks=list(checks),
         wall_time_ms=(time.perf_counter() - t0) * 1000,
     )
-
-
-def cmd_verify_all(args) -> list[RunReport]:
-    reports = []
-    for n in (5, 7, 9, 11):
-        a = argparse.Namespace(family=n, p=3, n=n, d=None, ceiling=args.ceiling)
-        reports.append(cmd_spectrum(a))
-    for n, r in ((5, 1), (5, 4), (7, 2), (9, 7)):
-        reports.append(cmd_kernel(argparse.Namespace(n=n, r=r, ceiling=args.ceiling)))
-    for n in (5, 7, 9, 11, 13):
-        reports.append(cmd_divisibility(argparse.Namespace(n=n, ceiling=args.ceiling)))
-    reports.append(cmd_graph_verify(args))
-    for n in (5, 7, 9):
-        reports.append(cmd_proof_check(argparse.Namespace(n=n, ceiling=args.ceiling)))
-    return reports
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,23 +240,30 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--n", type=int, required=True)
     pp.set_defaults(func=cmd_proof_check)
 
-    vp = sub.add_parser("verify-all", help="full desk-scale reproduction")
-    vp.set_defaults(func=cmd_verify_all)
+    sub.add_parser("verify-all", help="full desk-scale reproduction")
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.subcommand == "spectrum" and args.d is not None and args.n is None:
         parser.error("--d requires --n")
+    return args
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    args = _parse(parser, argv)
+    runs = [args]
+    if args.subcommand == "verify-all":
+        ceiling = [] if args.ceiling is None else ["--ceiling", str(args.ceiling)]
+        runs = [_parse(parser, [*ceiling, *command]) for command in VERIFY_ALL]
     try:
-        out = args.func(args)
+        reports = [_run(a) for a in runs]
     except (FieldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    reports = out if isinstance(out, list) else [out]
     if args.json:
         if len(reports) == 1:
             print(reports[0].to_json())

@@ -18,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import check_ceiling
+from .ff import check_ceiling, code_digits
 from .report import Check, Verdict
+
+
+MAX_WITNESSES = 64  # minimizers listed in a report; the count is always exact
 
 
 class CarryError(ValueError):
@@ -56,18 +59,7 @@ def family_params(n: int) -> FamilyParams:
 
 def canonical_digits(x: int, b: int, n: int) -> tuple[int, ...]:
     """Canonical n-digit expansion of x mod b^n - 1, little-endian."""
-    m = b**n - 1
-    x %= m
-    digs = []
-    for _ in range(n):
-        digs.append(x % b)
-        x //= b
-    return tuple(digs)
-
-
-def digits_value(digs, b: int, n: int) -> int:
-    m = b**n - 1
-    return sum(d * pow(b, i, m) for i, d in enumerate(digs)) % m
+    return code_digits(x % (b**n - 1), b, n)
 
 
 def weight(x: int, b: int, n: int) -> int:
@@ -160,11 +152,11 @@ class StickelbergerReport:
     d: int
     m: int  # min over nonzero j of w(j) + w(-d*j)
     witness: int  # smallest minimizing j
-    minimizers: tuple[int, ...]  # all minimizers, capped
+    minimizers: tuple[int, ...]  # the first MAX_WITNESSES minimizers
     alt_form_equal: bool  # (p-1)n + min(w(d*j) - w(j)) gives the same m
 
 
-def stickelberger_bound(p: int, n: int, d: int, *, max_witnesses: int = 64) -> StickelbergerReport:
+def stickelberger_bound(p: int, n: int, d: int) -> StickelbergerReport:
     """Divisibility exponent from digit weights.
 
     m = min over nonzero residues j of w(j) + w(-d*j); every value of the
@@ -176,7 +168,7 @@ def stickelberger_bound(p: int, n: int, d: int, *, max_witnesses: int = 64) -> S
     return StickelbergerReport(
         p=p, n=n, d=d, m=m,
         witness=int(mins[0]),
-        minimizers=tuple(int(v) for v in mins[:max_witnesses]),
+        minimizers=tuple(int(v) for v in mins[:MAX_WITNESSES]),
         alt_form_equal=((p - 1) * n + min_diff == m),
     )
 
@@ -218,7 +210,7 @@ class DivisibilityReport(Verdict):
 
 
 def verify_divisibility(
-    n: int, *, max_witnesses: int = 64, ceiling: int | None = None
+    n: int, *, ceiling: int | None = None
 ) -> DivisibilityReport:
     """Exhaustively check both weight inequalities for the family exponent.
 
@@ -238,6 +230,6 @@ def verify_divisibility(
         n=n, r=fam.r, d=fam.d,
         min_weight_sum=min_sum,
         num_minimizers=int(mins.size),
-        minimizers=tuple(int(v) for v in mins[:max_witnesses]),
+        minimizers=tuple(int(v) for v in mins[:MAX_WITNESSES]),
         checks=checks,
     )

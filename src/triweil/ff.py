@@ -2,13 +2,15 @@
 
 Elements are integer codes in 0..q-1: an element with coordinates
 (c_0, ..., c_{n-1}) in the power basis 1, alpha, ..., alpha^{n-1} has
-code sum(c_i * p^i).  Alongside the coefficient form we keep a full
-discrete-log table for a fixed generator, so multiplication, inversion,
-Frobenius powers and the quadratic character are table lookups.  The two
-representations convert losslessly.
+code sum(c_i * p^i).  A FieldCtx is its tables: exp and log for a fixed
+generator, and the absolute trace of every code.  Callers multiply, take
+powers and apply Frobenius on discrete logs held in arrays (gen^i * gen^j
+is exp[(i + j) mod q-1]); the context adds codes digit-wise, negates them,
+and reads discrete logs and the quadratic character one at a time.
 
 All tables are built once at construction; a FieldCtx is immutable, and
-build_field returns one shared instance per (p, n).
+build_field returns one shared instance per (p, n).  The tests check the
+tables against an independent polynomial-arithmetic field.
 """
 
 from __future__ import annotations
@@ -149,8 +151,9 @@ def code_digits(code: int, p: int, n: int) -> tuple[int, ...]:
 
 
 def digits_code(digs, p: int) -> int:
+    """The code of a little-endian digit sequence."""
     code = 0
-    for d in reversed(list(digs)):
+    for d in reversed(digs):
         code = code * p + d
     return code
 
@@ -187,24 +190,11 @@ class FieldCtx:
     log: np.ndarray  # log[code] = i; log[0] = -1
     trace_table: np.ndarray  # absolute trace per code, values in 0..p-1
 
-    # -- representation ----------------------------------------------------
-
-    def digits(self, x: int) -> tuple[int, ...]:
-        return code_digits(x, self.p, self.n)
-
     def index(self, x: int) -> int:
         """Discrete log of a nonzero element."""
         if x == 0:
             raise FieldError("zero has no discrete log")
         return int(self.log[x])
-
-    def from_index(self, i: int) -> int:
-        return int(self.exp[i % (self.q - 1)])
-
-    def elements(self):
-        return range(self.q)
-
-    # -- arithmetic --------------------------------------------------------
 
     def add(self, x, y):
         """x + y for codes given as Python ints (returns an int) or int64 arrays."""
@@ -219,37 +209,6 @@ class FieldCtx:
             x = x // p  # never in place: x may be the caller's array
             mult *= p
         return s if isinstance(s, np.ndarray) else int(s)
-
-    def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return int(self.exp[(int(self.log[x]) + int(self.log[y])) % (self.q - 1)])
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise FieldError("division by zero")
-        return int(self.exp[-int(self.log[x]) % (self.q - 1)])
-
-    def pow(self, x: int, e: int) -> int:
-        if x == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise FieldError("division by zero")
-            return 0
-        return int(self.exp[(int(self.log[x]) * e) % (self.q - 1)])
-
-    def frobenius(self, x: int, r: int) -> int:
-        """x^(p^r), via index multiplication."""
-        if r < 0:
-            raise FieldError("negative Frobenius power")
-        if x == 0:
-            return 0
-        i = (int(self.log[x]) * pow(self.p, r, self.q - 1)) % (self.q - 1)
-        return int(self.exp[i])
-
-    def trace(self, x: int) -> int:
-        return int(self.trace_table[x])
 
     def eta(self, x: int) -> int:
         """Quadratic character: 0 at zero, +1 on nonzero squares, -1 otherwise."""
@@ -286,7 +245,7 @@ def check_ceiling(
     if q > limit:
         raise FieldError(
             f"q = {p}^{n} = {q} exceeds the table ceiling {limit} "
-            f"(~{q * entry_bytes / 2**20:.0f} MiB of tables); "
+            f"(~{(q * entry_bytes + 2**19) // 2**20} MiB of tables); "  # ints: a float overflows at huge q
             f"raise it via ceiling= or ${CEILING_ENV_VAR}"
         )
 

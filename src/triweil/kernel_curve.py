@@ -3,9 +3,11 @@
 For d = 2 + p^r the fourth power moment of the binomial sum equals
 q^2 * |K|, where K is the set of pairs (x, y) with
 x^(p^2r) * y^(p^r) + x^(p^r) * y^(p^2r) + x*y = 0.  Two independent
-routes compute |K|: direct point counting (via the x = w*y substitution,
-with a naive quadratic scan kept as a test oracle), and a quadratic
-character sum which is O(q).
+routes compute |K|: direct point counting via the x = w*y substitution,
+and a quadratic character sum.  Both are O(q).  Their oracle is the naive
+O(q^2) scan of all pairs, kernel_count_naive in tests/oracles.py, which
+runs on a polynomial-arithmetic field that shares no table with FieldCtx;
+the tests compare it with both routes.
 
 Both O(q) routes run on discrete logs as array operations: the nonzero w
 is gen^lw, a power w^e is exp[lw*e mod (q-1)], a quotient is a difference
@@ -32,24 +34,6 @@ def _log_blocks(ctx: FieldCtx):
     Q = ctx.q - 1
     for start in range(0, Q, LOG_BLOCK):
         yield np.arange(start, min(start + LOG_BLOCK, Q), dtype=np.int64)
-
-
-def _on_curve(ctx: FieldCtx, r: int, x: int, y: int) -> bool:
-    lhs = ctx.add(
-        ctx.add(
-            ctx.mul(ctx.frobenius(x, 2 * r), ctx.frobenius(y, r)),
-            ctx.mul(ctx.frobenius(x, r), ctx.frobenius(y, 2 * r)),
-        ),
-        ctx.mul(x, y),
-    )
-    return lhs == 0
-
-
-def kernel_count_naive(ctx: FieldCtx, r: int) -> int:
-    """O(q^2) scan of all pairs; oracle for small fields only."""
-    return sum(
-        1 for x in ctx.elements() for y in ctx.elements() if _on_curve(ctx, r, x, y)
-    )
 
 
 def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
@@ -123,11 +107,6 @@ def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
 
     hyp = ctx.n % 2 == 1 and math.gcd(r, ctx.n) == 1
     return CharSumCount(count=count, eta_sum=eta_sum, hypotheses_ok=hyp)
-
-
-def fourth_moment_via_kernel(ctx: FieldCtx, r: int) -> int:
-    """q^2 * |K| with |K| from the character-sum route."""
-    return ctx.q**2 * kernel_count_charsum(ctx, r).count
 
 
 @dataclass(frozen=True)

@@ -11,34 +11,29 @@ Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
 cycle therefore proves the weight inequality.  Tarjan's algorithm splits
 the graph into strongly connected components and Bellman-Ford certifies
-that none of them carries a negative cycle.  min_short_cycle_cost, a
-bounded exhaustive cycle scan, is an independent oracle that only the
-tests run against that verdict.
+that none of them carries a negative cycle.  The oracle for that verdict
+is min_short_cycle_cost in tests/oracles.py, a bounded exhaustive scan of
+the simple cycles of each component; only the tests run it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import digits
+from .ff import code_digits, digits_code
 from .report import Check, Verdict
 
 NUM_VERTICES = 3**6
 
 
 def vertex_id(t: tuple[int, ...]) -> int:
-    vid = 0
-    for c in t:
-        vid = vid * 3 + c
-    return vid
+    return digits_code(t[::-1], 3)  # big-endian: xi0 is the top digit
 
 
 def vertex_tuple(vid: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(6):
-        out.append(vid % 3)
-        vid //= 3
-    return tuple(reversed(out))
+    return code_digits(vid, 3, 6)[::-1]
 
 
 @dataclass(frozen=True)
@@ -199,33 +194,6 @@ def cycle_cost(g: CostGraph, cycle: list[int]) -> int:
     return total
 
 
-def min_short_cycle_cost(g: CostGraph, vertices, max_len: int = 8) -> int | None:
-    """Minimum total cost over all simple cycles of length <= max_len.
-
-    Independent, brute-force backup for the Bellman-Ford verdict.  Each
-    cycle is counted at its lexicographically smallest starting vertex.
-    """
-    vset = set(vertices)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vset}
-    for u, v, c in g.edges:
-        if u in vset and v in vset:
-            adj[u].append((v, c))
-    best: int | None = None
-    for start in sorted(vset):
-        # DFS over paths from start that avoid vertices below start
-        stack = [(start, 0, 0, {start})]
-        while stack:
-            v, cost, depth, seen = stack.pop()
-            for w, c in adj[v]:
-                if w == start:
-                    total = cost + c
-                    if best is None or total < best:
-                        best = total
-                elif w > start and w not in seen and depth + 1 < max_len:
-                    stack.append((w, cost + c, depth + 1, seen | {w}))
-    return best
-
-
 @dataclass(frozen=True)
 class TraceResult:
     n: int
@@ -273,18 +241,13 @@ def trace_cycle(n: int, x: int) -> TraceResult:
     return TraceResult(n=n, x=x, walk=tuple(walk), cost=total)
 
 
-_EDGE_TARGETS: list[set[int]] | None = None
-
-
+@functools.cache
 def _edge_targets() -> list[set[int]]:
-    global _EDGE_TARGETS
-    if _EDGE_TARGETS is None:
-        g = build_graph()
-        targets: list[set[int]] = [set() for _ in range(g.num_vertices)]
-        for u, v, _ in g.edges:
-            targets[u].add(v)
-        _EDGE_TARGETS = targets
-    return _EDGE_TARGETS
+    g = build_graph()
+    targets: list[set[int]] = [set() for _ in range(g.num_vertices)]
+    for u, v, _ in g.edges:
+        targets[u].add(v)
+    return targets
 
 
 @dataclass(frozen=True)

@@ -97,18 +97,16 @@ class SurgeryVerdict:
     weight_sum_ok: bool | None  # w(x') + w(z') <= w(x) + w(z)
 
 
-def check_surgery(sid: str, n: int, x: int, i: int, *, r: int | None = None) -> SurgeryVerdict:
+def check_surgery(sid: str, n: int, x: int, i: int) -> SurgeryVerdict:
     """Try one surgery at pivot position i of a candidate minimizer x.
 
+    The exponent is the family's, d = 3^r + 2 with 4r = 1 mod n.
     Inapplicability (digit conditions unmet) is a normal outcome.  When
     applicable, verifies z' = -d*x' exactly and both weight contracts.
     """
     fam = digits.family_params(n)
-    if r is None:
-        r = fam.r
+    r, d, m = fam.r, fam.d, fam.m
     s = SURGERIES[sid]
-    m = fam.m
-    d = 2 + pow(3, r % n, m)
     x %= m
     z = (-d * x) % m
     xd = digits.canonical_digits(x, 3, n)

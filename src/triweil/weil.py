@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digits import family_params
-from .ff import FieldCtx, build_field
+from .ff import CEILING_ENV_VAR, FieldCtx, FieldError, build_field, default_ceiling
 from .report import Check, Verdict
 
 
@@ -169,6 +169,30 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
             break
         entries[csv.value] = entries.get(csv.value, 0) + mult
     return Spectrum(p=p, n=n, d=d, fiber_entries=fibers, entries=entries)
+
+
+def check_spectrum_work(p: int, n: int, ceiling: int | None = None) -> None:
+    """Refuse, before the field is built, a spectrum that would run too long.
+
+    The transform does p*q*(1 + (n-1)*p) element operations: p chunks of
+    one bincount over q and n - 1 shift steps of p*q each.  The budget is
+    the family's own count at q = ceiling, 9*k*ceiling with
+    k = floor(log_3 ceiling), so the family is admitted whenever its tables
+    are; a prime field near the ceiling, whose work is about q^2, is not.
+    A q over the ceiling is left to build_field, which states its tables.
+    """
+    limit = ceiling if ceiling is not None else default_ceiling()
+    q = p**n
+    k = 0
+    while 3 ** (k + 1) <= limit:
+        k += 1
+    work, budget = p * q * (1 + (n - 1) * p), 9 * k * limit
+    if q <= limit and work > budget:
+        raise FieldError(
+            f"spectrum at q = {p}^{n} needs ~{work} element operations, over the "
+            f"budget {budget} of the family at q = ceiling {limit}; "
+            f"raise it via ceiling= or ${CEILING_ENV_VAR}"
+        )
 
 
 def power_moment(s: Spectrum, k: int) -> int:

@@ -3,12 +3,15 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triweil import weil
 from triweil.cli import main
+from triweil.ff import FieldError
 
 
 def run(capsys, *argv):
@@ -120,6 +123,34 @@ def test_ceiling_message_states_table_memory(capsys, monkeypatch):
     assert main(["divisibility", "--n", "15"]) == 2
     # the int8 weight table and its int64 index
     assert capsys.readouterr().err == f"{head} (~123 MiB of tables); {tail}"
+
+
+def test_spectrum_work_over_budget_is_usage_error(capsys, monkeypatch):
+    # a prime field just under the ceiling: its tables fit, its ~q^2 transform does not
+    monkeypatch.delenv("TRIWEIL_CEILING", raising=False)
+    t0 = time.perf_counter()
+    assert main(["spectrum", "--p", "1594301", "--n", "1", "--d", "5"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "error: spectrum at q = 1594301^1 needs ~2541795678601 element operations, "
+        "over the budget 186535791 of the family at q = ceiling 1594323; "
+        "raise it via ceiling= or $TRIWEIL_CEILING\n"
+    )
+    # admitted: the family at the ceiling, the goldens' and the benchmark's fields
+    for p, n in [(3, 13), (1009, 1), (101, 2), (5, 6), (7, 5), (7, 2), (5, 3)]:
+        weil.check_spectrum_work(p, n)
+    # the family at n = floor(log_3 ceiling) is admitted at any ceiling
+    for n in (5, 7, 9):
+        weil.check_spectrum_work(3, n, 3**n)
+    with pytest.raises(FieldError, match="budget"):
+        weil.check_spectrum_work(1009, 1, 3**7)  # admitted at the default ceiling
+
+
+def test_huge_field_message_is_one_line(capsys):
+    # the table memory of q = 2^2000 is stated exactly, not through a float
+    assert main(["spectrum", "--p", "2", "--n", "2000", "--d", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: q = 2^2000 = ") and err.count("\n") == 1
 
 
 def test_bad_n_is_usage_error(capsys):

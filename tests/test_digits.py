@@ -9,7 +9,6 @@ from triweil.digits import (
     CarryError,
     canonical_digits,
     carry_sequence,
-    digits_value,
     family_carries,
     family_params,
     family_witness,
@@ -18,6 +17,7 @@ from triweil.digits import (
     weight,
     weight_table,
 )
+from triweil.ff import digits_code
 
 
 def test_weight_basics():
@@ -52,7 +52,7 @@ def test_weight_table_matches_scalar():
 
 @given(st.integers(min_value=0, max_value=3**7 - 2))
 def test_digits_roundtrip(x):
-    assert digits_value(canonical_digits(x, 3, 7), 3, 7) == x
+    assert digits_code(canonical_digits(x, 3, 7), 3) == x
 
 
 def test_carry_equal_lists_gives_zero():

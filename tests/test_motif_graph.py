@@ -1,6 +1,7 @@
 """Carry graph structure, SCC/negative-cycle verification, walk tracing."""
 
 import pytest
+from oracles import min_short_cycle_cost
 
 from triweil import digits
 from triweil.motif_graph import (
@@ -10,7 +11,6 @@ from triweil.motif_graph import (
     cycle_cost,
     find_negative_cycle,
     graph_report,
-    min_short_cycle_cost,
     tarjan_scc,
     trace_cycle,
     vertex_id,

@@ -1,0 +1,30 @@
+"""Checks stay in force under `python -O`, which strips assert statements."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "triweil"
+
+
+def test_no_assert_statements_in_src():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], "checks that python -O strips: " + ", ".join(found)
+
+
+def test_report_under_optimize_matches_golden():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("TRIWEIL_CEILING", None)
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "triweil.cli", "--json", "divisibility", "--n", "7"],
+        env=env, capture_output=True, check=True, timeout=60,
+    ).stdout
+    assert out == (ROOT / "perfbench" / "golden" / "divisibility_n_7.json").read_bytes()

@@ -5,6 +5,7 @@ import math
 from collections import Counter
 
 import pytest
+from oracles import ref_of
 
 from triweil.digits import family_params
 from triweil.ff import build_field
@@ -19,55 +20,16 @@ from triweil.weil import (
 
 
 # ---------------------------------------------------------------------------
-# Oracle: GF(27) rebuilt from scratch with coefficient arithmetic only.
+# Oracle: GF(27) rebuilt with polynomial arithmetic only (tests/oracles.py).
 
 
 def oracle_spectrum_q27(d):
-    p, n = 3, 3
-    mod = build_field(3, 3).modulus  # the polynomial choice must agree
-
-    def mul(a, b):
-        res = [0] * (2 * n - 1)
-        for i in range(n):
-            for j in range(n):
-                res[i + j] = (res[i + j] + a[i] * b[j]) % p
-        for k in range(2 * n - 2, n - 1, -1):
-            c = res[k]
-            if c:
-                res[k] = 0
-                for j in range(n):
-                    res[k - n + j] = (res[k - n + j] - c * mod[j]) % p
-        return tuple(res[:n])
-
-    def powd(a, e):
-        out = (1, 0, 0)
-        base = a
-        while e:
-            if e & 1:
-                out = mul(out, base)
-            base = mul(base, base)
-            e >>= 1
-        return out
-
-    def trace(a):
-        t = [0, 0, 0]
-        cur = a
-        for _ in range(n):
-            t = [(u + v) % p for u, v in zip(t, cur)]
-            cur = powd(cur, p)
-        assert t[1] == t[2] == 0
-        return t[0]
-
-    elements = [(c0, c1, c2) for c2 in range(3) for c1 in range(3) for c0 in range(3)]
+    F = ref_of(build_field(3, 3))  # reads the modulus and generator only
     spec = {}
-    for a in elements:
-        if a == (0, 0, 0):
-            continue
+    for a in range(1, F.q):
         fibers = [0, 0, 0]
-        for x in elements:
-            ax = mul(a, x)
-            t = (trace(powd(x, d)) - trace(ax)) % p
-            fibers[t] += 1
+        for x in range(F.q):
+            fibers[(F.trace(F.pow(x, d)) - F.trace(F.poly_mul(a, x))) % 3] += 1
         assert fibers[1] == fibers[2]  # d odd over GF(3^n) always rationalizes
         val = fibers[0] - fibers[1]
         spec[val] = spec.get(val, 0) + 1
@@ -98,7 +60,7 @@ def test_spectrum_against_independent_oracle_q27():
 def test_spectrum_transform_matches_per_coefficient_sums(p, n, d):
     # the transform against one O(q) weil_sum per nonzero coefficient
     ctx = build_field(p, n)
-    sums = [weil_sum(ctx, d, ctx.from_index(i)) for i in range(ctx.q - 1)]
+    sums = [weil_sum(ctx, d, int(a)) for a in ctx.exp]  # every nonzero coefficient
     spec = spectrum(ctx, d)
     assert spec.fiber_entries == Counter(v.fiber_counts for v in sums)
     if all(v.is_integer for v in sums):
