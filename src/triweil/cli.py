@@ -1,7 +1,8 @@
 """Command-line front end producing reproducible verification reports.
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 usage
-error.  Reports are deterministic given identical parameters; --json
+error; a reader that closes stdout early cuts the report short but not
+the exit code.  Reports are deterministic given identical parameters; --json
 emits a machine-readable form (sorted keys, exact decimal integers,
 no timing field so output is byte-stable).
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -211,7 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ceiling",
         type=int,
         default=None,
-        help=f"max size q = p^n of the field and digit-weight tables (default "
+        help=f"max size q = p^n of the field tables and of the residues that divisibility "
+        f"and proof-check cover (default "
         f"${CEILING_ENV_VAR} or {DEFAULT_Q_CEILING})",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -264,14 +267,20 @@ def main(argv=None) -> int:
     except (FieldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
-        if len(reports) == 1:
-            print(reports[0].to_json())
+    try:
+        if args.json:
+            if len(reports) == 1:
+                print(reports[0].to_json())
+            else:
+                print("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]")
         else:
-            print("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]")
-    else:
-        for r in reports:
-            print(r.to_text())
+            for r in reports:
+                print(r.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop quietly, and point stdout
+        # at devnull so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION_FAILED
 
 

@@ -16,6 +16,7 @@ tables against an independent polynomial-arithmetic field.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -230,22 +231,34 @@ def default_ceiling() -> int:
 
 
 FIELD_ENTRY_BYTES = 24  # exp, log and trace_table: one int64 each per element
+_LONG = 10**18  # check_ceiling states larger numbers by their size
+
+
+def _magnitude(v: int) -> str:
+    return f"~10^{math.floor(math.log10(v))}"
 
 
 def check_ceiling(
-    p: int, n: int, ceiling: int | None = None, entry_bytes: int = FIELD_ENTRY_BYTES
+    p: int, n: int, ceiling: int | None = None, entry_bytes: int | None = FIELD_ENTRY_BYTES
 ) -> None:
     """Refuse, before allocating, tables of p^n > ceiling entries.
 
     entry_bytes (the table bytes per entry, the field's by default) only
-    sizes the message, which states the memory the tables would take.
+    sizes the message, which states the memory the tables would take;
+    None means the caller builds no q-sized table, and the message names
+    none.  A q or a memory figure of 19 digits or more is stated as ~10^k:
+    str() refuses ints past 4300 digits.
     """
     q = p**n
     limit = ceiling if ceiling is not None else default_ceiling()
     if q > limit:
+        over = f"the ceiling {limit}"
+        if entry_bytes is not None:
+            mib = (q * entry_bytes + 2**19) // 2**20  # ints: a float overflows at huge q
+            mib_text = f"~{mib}" if mib < _LONG else _magnitude(mib)
+            over = f"the table ceiling {limit} ({mib_text} MiB of tables)"
         raise FieldError(
-            f"q = {p}^{n} = {q} exceeds the table ceiling {limit} "
-            f"(~{(q * entry_bytes + 2**19) // 2**20} MiB of tables); "  # ints: a float overflows at huge q
+            f"q = {p}^{n} = {q if q < _LONG else _magnitude(q)} exceeds {over}; "
             f"raise it via ceiling= or ${CEILING_ENV_VAR}"
         )
 

@@ -7,6 +7,33 @@ and g3' = floor((xi0 + 2*xi1 + g0)/3); xi1' is free, so every vertex has
 out-degree 3 and the graph has 2187 edges.  Edge cost is
 1 + 2*(xi1 - g0).
 
+Walks and residues.  Fix odd n, r = 4^-1 mod n and d = 3^r + 2, and
+write X_j = x_{r*j} for the digits of a residue x mod 3^n - 1.  Then
+d*x = sum_j (2*X_j + X_{j-1}) * 3^(r*j), and the carry out of position
+r*j lands at r*j + 1 = r*(j + 4), so the digits Y_j = (d*x)_{r*j} obey
+Y_j + 3*C_j = 2*X_j + X_{j-1} + C_{j-4}.  The carries C are unique by the
+carry lemma (digits) and lie in {0,1,2} (trace_cycle asserts both), so
+the vertices T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1})
+form a closed walk of length n whose cost is n + w(d*x) - w(x).
+Conversely a closed walk of length n gives X_j = xi1 of T_j and carries
+C_j = floor((X_{j-1} + 2*X_j + C_{j-4})/3), hence digits Y_j of d*x for
+x = sum_j X_j * 3^(r*j).  Two digit strings in {0,1,2}^n name the same
+residue only for zero (all 0s and all 2s), so each nonzero residue has
+exactly one walk and the zero residue has two: X all 0 with carries 0,
+and X all 2 with carries 2, each of cost n.  There are 3^n closed walks
+of length n in all, the trace of A^n for the adjacency matrix A.
+
+The extremes follow.  x = -1 has weight 2n - 1 and d*x = -d has weight
+2n - 3, so some walk costs n - 2; the family witness (digits) costs
+2n - 1.  Neither zero walk is therefore extreme, and the least and
+largest walk costs are n + min w(d*x) - w(x) and, since w(-y) = 2n - w(y)
+for nonzero y, 3n - min (w(x) + w(-d*x)), both over nonzero x.
+walk_extremes finds both by a max-plus dynamic program over walks of n
+steps that stay in the two nontrivial components (a closed walk never
+leaves its component), then backtracks the maximum-cost walks into the
+weight-sum minimizers.  No table of 3^n entries is built; the
+exhaustive digit-weight scan (digits.weight_sums) is the tests' oracle.
+
 Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
 cycle therefore proves the weight inequality.  Tarjan's algorithm splits
@@ -20,6 +47,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import digits
 from .ff import code_digits, digits_code
@@ -248,6 +277,109 @@ def _edge_targets() -> list[set[int]]:
     for u, v, _ in g.edges:
         targets[u].add(v)
     return targets
+
+
+@dataclass(frozen=True)
+class WalkExtremes:
+    """The family's weight extremes over nonzero x, read off the closed
+    walks of length n, and the residues of the largest-cost walks."""
+
+    min_diff: int  # min w(d*x) - w(x): the least walk cost minus n
+    min_weight_sum: int  # min w(x) + w(-d*x): 3n minus the largest walk cost
+    minimizers: tuple[int, ...]  # every x attaining min_weight_sum, ascending
+    weights: tuple[int, ...]  # w(x) of each minimizer
+
+
+@functools.cache
+def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices of the nontrivial components, renumbered 0..V-1: their
+    in-component predecessors padded with the index V, their costs (V
+    costs 0) and their xi1 digits."""
+    g = build_graph()
+    scc = tarjan_scc(g)
+    members = [v for comp in scc.nontrivial for v in comp]
+    local = {v: i for i, v in enumerate(members)}
+    preds: list[list[int]] = [[] for _ in members]
+    for u, v, _ in g.edges:
+        if u in local and v in local and scc.component_of[u] == scc.component_of[v]:
+            preds[local[v]].append(local[u])
+    pred = np.full((len(members), max(map(len, preds))), len(members), dtype=np.intp)
+    for i, p in enumerate(preds):
+        pred[i, : len(p)] = p
+    cost = np.array([edge_cost(v) for v in members] + [0], dtype=np.int32)
+    xi1 = np.array([vertex_tuple(v)[1] for v in members], dtype=np.int8)
+    return pred, cost, xi1
+
+
+def _best_walks(n: int, cost: np.ndarray) -> list[np.ndarray]:
+    """F[k][v, s], k = 0..n: the largest cost of a walk of k steps from s
+    to v, counting the cost of each vertex it leaves.
+
+    Where there is no such walk the entry stays within 5n of a sentinel
+    near -2^30, far below any walk cost.
+    """
+    pred = _walk_tables()[0]
+    V = len(pred)
+    F = np.full((V + 1, V), -(2**30), dtype=np.int32)
+    F[np.arange(V), np.arange(V)] = 0
+    history = [F]
+    for _ in range(n):
+        G = F + cost[:, None]
+        F = np.concatenate([G[pred[:, 0]], G[V:]])  # row V keeps the sentinel
+        for j in range(1, pred.shape[1]):
+            np.maximum(F[:V], G[pred[:, j]], out=F[:V])
+        history.append(F)
+    return history
+
+
+@functools.cache
+def walk_extremes(n: int) -> WalkExtremes:
+    """Both weight extremes of the family at odd n and the weight-sum
+    minimizers, from the closed walks of length n (see the module
+    docstring for why their cost extremes are those over nonzero x).
+
+    Backtracks every tight step from each maximum-cost closed walk's end
+    to its start and decodes X_j = xi1 of T_j into x = sum X_j * 3^(r*j).
+    Computed once per n in a process.
+    """
+    fam = digits.family_params(n)
+    pred, cost, xi1 = _walk_tables()
+    V = len(pred)
+    loops = np.arange(V), np.arange(V)
+    min_cost = -int(_best_walks(n, -cost)[n][loops].max())
+    history = _best_walks(n, cost)
+    closed = history[n][loops]
+    max_cost = int(closed.max())
+    if not min_cost < n < max_cost:
+        raise AssertionError(f"a zero-residue walk is extreme at n = {n}")  # unreachable
+
+    # one row per partial walk T_k .. T_{n-1} back to its start
+    start = np.flatnonzero(closed == max_cost)
+    vertex = start
+    steps = []
+    for k in range(n - 1, -1, -1):
+        cand = pred[vertex]
+        reach = history[k][cand, start[:, None]] + cost[cand]
+        row, col = np.nonzero(reach == history[k + 1][vertex, start][:, None])
+        vertex, start = cand[row, col], start[row]
+        steps.append((vertex, row))
+
+    X = np.empty((len(vertex), n), dtype=np.int8)
+    row = np.arange(len(vertex))
+    for j, (vertex_j, parent) in enumerate(reversed(steps)):  # T_0 first
+        X[:, j] = xi1[vertex_j[row]]
+        row = parent[row]
+    digits_le = np.empty_like(X)
+    digits_le[:, [(fam.r * j) % n for j in range(n)]] = X
+    text = (digits_le[:, ::-1] + ord("0")).astype(np.uint8).tobytes()  # big-endian rows
+    residues = (int(text[i * n : (i + 1) * n], 3) for i in range(len(X)))
+    ranked = sorted(zip(residues, X.sum(axis=1).tolist()))  # Python ints at any n
+    return WalkExtremes(
+        min_diff=min_cost - n,
+        min_weight_sum=3 * n - max_cost,  # w(-y) = 2n - w(y)
+        minimizers=tuple(x for x, _ in ranked),
+        weights=tuple(w for _, w in ranked),
+    )
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,16 @@ The argument constrains a weight-sum minimizer x (with z = -d*x) through
 five local digit surgeries, reduces the per-position digit/carry data to
 nine admissible motifs, chains motifs into ten start-to-end sequences,
 and concludes that a doubly-minimal x decomposes into S2/S4 blocks only.
-Everything here is re-derived from the defining constraints and checked
-against a brute-force weight-table oracle.
+Everything here is re-derived from the defining constraints.
+
+The final claim is checked at every minimizer.  Each nonzero residue x
+is exactly one closed walk of length n in the carry graph, since its
+carries are unique (the carry lemma) and lie in {0,1,2}; the zero residue
+is two walks (digits all 0 or all 2) of cost n, and neither is extreme.
+The walk cost is n + w(d*x) - w(x) = 3n - (w(x) + w(-d*x)), so the
+weight-sum minimizers are the maximum-cost walks, and w(x) is the sum of
+their xi1 digits (see motif_graph).  The tests hold this walk route equal
+to the exhaustive weight-table scan digits.weight_sums.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import digits
+from . import digits, motif_graph
+from .ff import check_ceiling
 from .report import Check, Verdict
 
 # ---------------------------------------------------------------------------
@@ -280,7 +289,7 @@ def enumerate_sequences() -> tuple[SequencePattern, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force conclusion check.
+# The conclusion, checked at every minimizer.
 
 
 def motif_word(n: int, x: int) -> tuple[str, ...]:
@@ -333,17 +342,20 @@ class MinimizerReport(Verdict):
 
 
 def check_minimizer_structure(n: int, *, ceiling: int | None = None) -> MinimizerReport:
-    """Brute-force oracle for the final structure claim.
+    """Check the final structure claim at every minimizer.
 
-    Finds every nonzero x minimizing w(x) + w(-d*x), restricts to those
-    with minimal w(x), and checks that each decomposes into S2/S4 blocks
-    with w(x) = k = (n-1)/2 and w(x) + w(z) = 2n - 2k = n + 1.
+    Finds every nonzero x minimizing w(x) + w(-d*x), as the maximum-cost
+    closed walks of motif_graph.walk_extremes, restricts to those with
+    minimal w(x), and checks that each decomposes into S2/S4 blocks with
+    w(x) = k = (n-1)/2 and w(x) + w(z) = 2n - 2k = n + 1.  The ceiling
+    still admits only 3^n <= ceiling.
     """
     fam = digits.family_params(n)
-    w, min_sum, minimizers, _ = digits.weight_sums(3, n, fam.d, ceiling=ceiling)
-    wx = w[minimizers]
-    k = int(wx.min())
-    doubly = [int(x) for x in minimizers[wx == k]]
+    check_ceiling(3, n, ceiling, entry_bytes=None)
+    walks = motif_graph.walk_extremes(n)
+    min_sum = walks.min_weight_sum
+    k = min(walks.weights)
+    doubly = [x for x, w in zip(walks.minimizers, walks.weights) if w == k]
 
     bad_words = []
     s4_counts = set()
@@ -366,7 +378,7 @@ def check_minimizer_structure(n: int, *, ceiling: int | None = None) -> Minimize
     return MinimizerReport(
         n=n, r=fam.r, d=fam.d, k=k,
         min_weight_sum=min_sum,
-        num_minimizers=int(minimizers.size),
+        num_minimizers=len(walks.minimizers),
         num_doubly_minimal=len(doubly),
         checks=checks,
     )

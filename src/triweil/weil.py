@@ -179,8 +179,11 @@ def check_spectrum_work(p: int, n: int, ceiling: int | None = None) -> None:
     the family's own count at q = ceiling, 9*k*ceiling with
     k = floor(log_3 ceiling), so the family is admitted whenever its tables
     are; a prime field near the ceiling, whose work is about q^2, is not.
-    A q over the ceiling is left to build_field, which states its tables.
+    A q over the ceiling, or an n < 1 (0^-1 has no value), is left to
+    build_field, which states its tables or refuses the degree.
     """
+    if n < 1:
+        return
     limit = ceiling if ceiling is not None else default_ceiling()
     q = p**n
     k = 0

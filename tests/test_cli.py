@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,8 @@ from hypothesis import strategies as st
 from triweil import weil
 from triweil.cli import main
 from triweil.ff import FieldError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -121,8 +127,10 @@ def test_ceiling_message_states_table_memory(capsys, monkeypatch):
     # exp, log and trace_table: three int64 tables
     assert capsys.readouterr().err == f"{head} (~328 MiB of tables); {tail}"
     assert main(["divisibility", "--n", "15"]) == 2
-    # the int8 weight table and its int64 index
-    assert capsys.readouterr().err == f"{head} (~123 MiB of tables); {tail}"
+    # the walk route builds no q-sized table, so the message names no memory
+    assert capsys.readouterr().err == (
+        f"error: q = 3^15 = 14348907 exceeds the ceiling 1594323; {tail}"
+    )
 
 
 def test_spectrum_work_over_budget_is_usage_error(capsys, monkeypatch):
@@ -146,11 +154,49 @@ def test_spectrum_work_over_budget_is_usage_error(capsys, monkeypatch):
         weil.check_spectrum_work(1009, 1, 3**7)  # admitted at the default ceiling
 
 
+@pytest.mark.parametrize("p,n", [(0, -1), (0, 0), (2, -1)])
+def test_bad_field_degree_is_usage_error(capsys, p, n):
+    # the work check runs first and must leave a bad degree to build_field
+    assert main(["spectrum", "--p", str(p), "--n", str(n), "--d", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_huge_field_message_is_one_line(capsys):
     # the table memory of q = 2^2000 is stated exactly, not through a float
     assert main(["spectrum", "--p", "2", "--n", "2000", "--d", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: q = 2^2000 = ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,head",
+    [
+        (("kernel", "--n", "100000", "--r", "1"),
+         "error: q = 3^100000 = ~10^47712 exceeds the table ceiling 1594323 "
+         "(~10^47707 MiB of tables); "),
+        (("divisibility", "--n", "100001"),
+         "error: q = 3^100001 = ~10^47712 exceeds the ceiling 1594323; "),
+    ],
+)
+def test_ceiling_message_states_size_of_long_q(capsys, monkeypatch, argv, head):
+    # q has ~47700 digits, past what str() formats: its size is stated instead
+    monkeypatch.delenv("TRIWEIL_CEILING", raising=False)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == f"{head}raise it via ceiling= or $TRIWEIL_CEILING\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader closes the pipe before the report is written, as `| head -1` does
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "triweil.cli", "--json", "divisibility", "--n", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_bad_n_is_usage_error(capsys):

@@ -1,20 +1,23 @@
 """Carry graph structure, SCC/negative-cycle verification, walk tracing."""
 
+import numpy as np
 import pytest
 from oracles import min_short_cycle_cost
 
-from triweil import digits
+from triweil import digits, proof_lab
 from triweil.motif_graph import (
     CostGraph,
     PAIR_VERTICES,
     build_graph,
     cycle_cost,
+    edge_cost,
     find_negative_cycle,
     graph_report,
     tarjan_scc,
     trace_cycle,
     vertex_id,
     vertex_tuple,
+    walk_extremes,
 )
 
 
@@ -130,3 +133,64 @@ def test_graph_report_passes():
     rep = graph_report()
     assert rep.passed, [c.line() for c in rep.checks if not c.ok]
     assert rep.pair_cycle_cost == 2
+
+
+def test_closed_walks_number_3_to_the_n():
+    # trace(A^n) = 3^n: one walk per nonzero residue plus two for zero.  Float
+    # products are exact here: every entry of A^k is at most 3^k < 2^53.
+    g = build_graph()
+    A = np.zeros((729, 729))
+    for u, v, _ in g.edges:
+        A[u, v] += 1
+    power = A
+    for n in range(2, 12):
+        power = power @ A
+        if n % 2:
+            assert int(np.trace(power)) == 3**n, n
+
+
+def test_zero_residue_walks_cost_n():
+    # X all 0 with carries 0, and X all 2 with carries 2: self-loops of cost 1,
+    # so each closed walk of n loops costs n
+    loops = {u for u, v, _ in build_graph().edges if u == v}
+    for digit in (0, 2):
+        v = vertex_id((digit,) * 6)
+        assert v in loops and edge_cost(v) == 1
+    for n in range(3, 16, 2):
+        ext = walk_extremes(n)
+        # neither zero walk is extreme: least cost < n < largest cost
+        assert n + ext.min_diff < n < 3 * n - ext.min_weight_sum
+
+
+def test_walks_of_nonzero_residues_are_distinct_n5():
+    # with the two zero walks they exhaust the 3^5 closed walks of length 5
+    walks = {trace_cycle(5, x).walk for x in range(1, 3**5 - 1)}
+    zero_walks = {(vertex_id((d,) * 6),) * 5 for d in (0, 2)}
+    assert len(walks) == 3**5 - 2 and not walks & zero_walks
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+def test_walk_extremes_match_weight_scan(n):
+    fam = digits.family_params(n)
+    w, min_sum, mins, min_diff = digits.weight_sums(3, n, fam.d, ceiling=3**15)
+    ext = walk_extremes(n)
+    assert ext.min_weight_sum == min_sum == n + 1
+    assert ext.min_diff == min_diff
+    assert list(ext.minimizers) == mins.tolist()  # ascending, every one
+    assert list(ext.weights) == w[mins].tolist()
+
+    k = int(w[mins].min())
+    doubly = mins[w[mins] == k].tolist()
+    div = digits.verify_divisibility(n, ceiling=3**15)
+    assert div.passed and div.num_minimizers == mins.size
+    assert list(div.minimizers) == mins[: digits.MAX_WITNESSES].tolist()
+    rep = proof_lab.check_minimizer_structure(n, ceiling=3**15)
+    assert rep.passed and (rep.k, rep.num_doubly_minimal) == (k, len(doubly))
+    assert [x for x, wx in zip(ext.minimizers, ext.weights) if wx == k] == doubly
+    if n == 15:
+        assert (mins.size, len(doubly)) == (3615, 15)
+
+
+def test_walk_extremes_rejects_even_n():
+    with pytest.raises(ValueError, match="odd n"):
+        walk_extremes(6)

@@ -23,8 +23,9 @@ def test_no_assert_statements_in_src():
 def test_report_under_optimize_matches_golden():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("TRIWEIL_CEILING", None)
-    out = subprocess.run(
-        [sys.executable, "-O", "-m", "triweil.cli", "--json", "divisibility", "--n", "7"],
-        env=env, capture_output=True, check=True, timeout=60,
-    ).stdout
-    assert out == (ROOT / "perfbench" / "golden" / "divisibility_n_7.json").read_bytes()
+    for command in ("divisibility", "proof-check"):
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "triweil.cli", "--json", command, "--n", "7"],
+            env=env, capture_output=True, check=True, timeout=60,
+        ).stdout
+        assert out == (ROOT / "perfbench" / "golden" / f"{command}_n_7.json").read_bytes()

@@ -1,5 +1,5 @@
 """Surgery identities, motif derivation, sequence enumeration, and the
-brute-force minimizer-structure oracle."""
+minimizer-structure check."""
 
 import random
 
