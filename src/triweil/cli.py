@@ -150,24 +150,24 @@ def cmd_graph_verify(args) -> Outcome:
 
 
 def cmd_proof_check(args) -> Outcome:
-    checks: list[Check] = []
+    # first, so that a bad or over-ceiling n is refused before any
+    # arithmetic mod 3^n - 1; its checks still come last in the report
+    n = args.n
+    rep = proof_lab.check_minimizer_structure(n, ceiling=args.ceiling)
 
     motifs = proof_lab.derive_motifs()
-    checks.append(Check("motifs.count", 9, len(motifs)))
     sequences = proof_lab.enumerate_sequences()
-    checks.append(Check("sequences.count", 10, len(sequences)))
-
-    n = args.n
-    r = digits.family_params(n).r
     bad_identity = [
         sid
         for sid in proof_lab.SURGERIES
-        if not proof_lab.surgery_identity_holds(sid, n, r)
+        if not proof_lab.surgery_identity_holds(sid, n, rep.r)
     ]
-    checks.append(Check("surgeries.identities", [], bad_identity))
-
-    rep = proof_lab.check_minimizer_structure(n, ceiling=args.ceiling)
-    checks.extend(rep.checks)
+    checks = [
+        Check("motifs.count", 9, len(motifs)),
+        Check("sequences.count", 10, len(sequences)),
+        Check("surgeries.identities", [], bad_identity),
+        *rep.checks,
+    ]
 
     results = {
         "motifs": [m_.name for m_ in motifs],

@@ -8,7 +8,11 @@ The carry lemma: whenever two integer digit lists s and t represent the
 same residue, there is a unique integer carry sequence c with
 s_i + c_{i-1} = t_i + b*c_i at every index, given in closed form by
 c_i = (1/(b^n-1)) * sum_j (s_{j+i+1} - t_{j+i+1}) * b^j, and the carries
-sum to (sum s - sum t)/(b - 1).
+sum to (sum s - sum t)/(b - 1).  carry_sequence evaluates the closed form
+once, for the last carry c_{n-1}, whose numerator sum_j (s_j - t_j) * b^j
+is also the congruence test, and derives the others in one pass from
+c_i = (s_i + c_{i-1} - t_i)/b: one sum over integers of n digits and n
+small divisions, where evaluating every closed form takes n such sums.
 
 For the family exponent the lemma turns residues into walks (the full
 argument is in the motif_graph docstring): the carries of d*x are unique
@@ -56,8 +60,7 @@ def family_params(n: int) -> FamilyParams:
     gcd(d, 3^n - 1) always divides 13, and d mod 13 avoids 0, so the
     gcd is 1; it is recomputed here rather than assumed.
     """
-    if n <= 1 or n % 2 == 0:
-        raise ValueError(f"family exponent needs odd n > 1, got {n}")
+    _check_family_n(n)
     r = pow(4, -1, n)
     d = 3**r + 2
     m = 3**n - 1
@@ -65,6 +68,25 @@ def family_params(n: int) -> FamilyParams:
     if g != 1:
         raise ValueError(f"gcd(3^{r}+2, 3^{n}-1) = {g} != 1")  # never for odd n
     return FamilyParams(n=n, r=r, d=d, m=m)
+
+
+def admitted_family(
+    n: int, ceiling: int | None, entry_bytes: int | None = None
+) -> FamilyParams:
+    """family_params(n) for a request that 3^n <= ceiling must admit.
+
+    The odd-n error comes first and the ceiling (check_ceiling, with the
+    caller's entry_bytes) second, both before any arithmetic on integers
+    of n digits: the gcd in family_params alone takes seconds at n = 10^6.
+    """
+    _check_family_n(n)
+    check_ceiling(3, n, ceiling, entry_bytes=entry_bytes)
+    return family_params(n)
+
+
+def _check_family_n(n: int) -> None:
+    if n <= 1 or n % 2 == 0:
+        raise ValueError(f"family exponent needs odd n > 1, got {n}")
 
 
 def canonical_digits(x: int, b: int, n: int) -> tuple[int, ...]:
@@ -92,27 +114,42 @@ def weight_table(b: int, n: int) -> np.ndarray:
 
 
 def carry_sequence(s, t, b: int, n: int) -> list[int]:
-    """The unique integer carries between congruent digit lists s and t."""
+    """The unique integer carries between congruent digit lists s and t.
+
+    One closed-form carry, c_{n-1} = sum_j (s_j - t_j) * b^j / (b^n - 1),
+    whose numerator fails to divide exactly when the lists are
+    incongruent; the rest follow from the recurrence (see _carry_pass).
+    """
     s, t = list(s), list(t)
     if len(s) != n or len(t) != n:
         raise ValueError(f"digit lists must have length n = {n}")
     m = b**n - 1
-    diff = (sum(si * pow(b, i, m) for i, si in enumerate(s))
-            - sum(ti * pow(b, i, m) for i, ti in enumerate(t))) % m
-    if diff != 0:
-        raise CarryError(f"digit lists differ by residue {diff} mod {m}")
+    num = 0
+    for si, ti in zip(reversed(s), reversed(t)):
+        num = num * b + si - ti
+    if num % m != 0:
+        raise CarryError(f"digit lists differ by residue {num % m} mod {m}")
+    return _carry_pass(s, t, b, num // m)
+
+
+def _carry_pass(s: list[int], t: list[int], b: int, last: int) -> list[int]:
+    """c_i = (s_i + c_{i-1} - t_i)/b for i = 0..n-1 from c_{-1} = last.
+
+    Checks that every division is exact, that the pass returns to last
+    (the carries close the cycle) and that the carries sum to the weight
+    difference; each check fails only when last is not the true c_{n-1}.
+    """
     c = []
-    for i in range(n):
-        num = sum((s[(j + i + 1) % n] - t[(j + i + 1) % n]) * b**j for j in range(n))
-        if num % m != 0:
-            raise AssertionError("carry numerator not divisible")  # unreachable
-        c.append(num // m)
-    # both defining identities, rechecked post hoc
-    for i in range(n):
-        if s[i] + c[(i - 1) % n] != t[i] + b * c[i]:
-            raise AssertionError(f"carry identity fails at index {i}")  # unreachable
+    prev = last
+    for i, (si, ti) in enumerate(zip(s, t)):
+        prev, rem = divmod(si + prev - ti, b)
+        if rem != 0:
+            raise AssertionError(f"carry division not exact at index {i}")
+        c.append(prev)
+    if prev != last:
+        raise AssertionError(f"carries do not close: c_{len(c) - 1} = {prev} != {last}")
     if (b - 1) * sum(c) != sum(s) - sum(t):
-        raise AssertionError("carries do not sum to the weight difference")  # unreachable
+        raise AssertionError("carries do not sum to the weight difference")
     return c
 
 
@@ -238,8 +275,7 @@ def verify_divisibility(
     """
     from . import motif_graph  # motif_graph imports this module
 
-    fam = family_params(n)
-    check_ceiling(3, n, ceiling, entry_bytes=None)
+    fam = admitted_family(n, ceiling)
     walks = motif_graph.walk_extremes(n)
     witness = family_witness(n)
     checks = [

@@ -38,7 +38,9 @@ Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
 cycle therefore proves the weight inequality.  Tarjan's algorithm splits
 the graph into strongly connected components and Bellman-Ford certifies
-that none of them carries a negative cycle.  The oracle for that verdict
+that none of them carries a negative cycle.  The graph and its
+components are built once per process and shared by graph_report,
+walk_extremes and trace_cycle.  The oracle for that verdict
 is min_short_cycle_cost in tests/oracles.py, a bounded exhaustive scan of
 the simple cycles of each component; only the tests run it.
 """
@@ -82,8 +84,12 @@ def edge_cost(u: int) -> int:
     return 1 + 2 * (xi1 - g0)
 
 
+@functools.cache
 def build_graph() -> CostGraph:
-    """The full carry-propagation graph, edges sorted by (source, target)."""
+    """The full carry-propagation graph, edges sorted by (source, target).
+
+    Built once per process; the graph and its edge tuple are immutable.
+    """
     edges = []
     for u in range(NUM_VERTICES):
         xi0, xi1, g0, g1, g2, g3 = vertex_tuple(u)
@@ -173,6 +179,12 @@ def tarjan_scc(g: CostGraph) -> SCCReport:
     )
 
 
+@functools.cache
+def _components() -> SCCReport:
+    """tarjan_scc of the carry graph, computed once per process."""
+    return tarjan_scc(build_graph())
+
+
 def find_negative_cycle(g: CostGraph, vertices) -> list[int] | None:
     """Bellman-Ford on the subgraph induced by the given vertex set.
 
@@ -236,8 +248,10 @@ def trace_cycle(n: int, x: int) -> TraceResult:
 
     Builds X_j = x_{r*j}, the carries C_j of the multiply-by-d
     recurrence Y_j + 3*C_j = 2*X_j + X_{j-1} + C_{j-4} with Y = d*x
-    (those of digits.family_carries, as -d*x has digits 2 - Y_j), and
-    the vertex sequence T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1}).
+    (those of digits.family_carries, as -d*x has digits 2 - Y_j: one
+    closed-form carry, then the carry recurrence, O(n) steps in all), and
+    the vertex sequence T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1}),
+    each step costing 1 + 2*(X_j - C_{j-4}) as edge_cost would read off T_j.
     Asserts that every carry lies in {0,1,2}, that every step is a graph
     edge, and that the total cost equals n + w(d*x) - w(x).
     """
@@ -247,20 +261,17 @@ def trace_cycle(n: int, x: int) -> TraceResult:
     if any(cj not in (0, 1, 2) for cj in C):
         raise AssertionError(f"carry out of range for x = {x}: {C}")
 
-    walk = [
-        vertex_id((
-            X[(j - 1) % n], X[j],
-            C[(j - 4) % n], C[(j - 3) % n], C[(j - 2) % n], C[(j - 1) % n],
-        ))
-        for j in range(n)
-    ]
-    valid = _edge_targets()
+    walk = []
     total = 0
+    for j in range(n):
+        g0 = C[(j - 4) % n]
+        walk.append(vertex_id((X[j - 1], X[j], g0, C[(j - 3) % n], C[(j - 2) % n], C[j - 1])))
+        total += 1 + 2 * (X[j] - g0)
+    valid = _edge_targets()
     for j in range(n):
         u, v = walk[j], walk[(j + 1) % n]
         if v not in valid[u]:
             raise AssertionError(f"non-edge step {u} -> {v} for x = {x}")
-        total += edge_cost(u)
 
     expected = n + digits.weight(fam.d * x, 3, n) - digits.weight(x, 3, n)
     if total != expected:
@@ -271,12 +282,11 @@ def trace_cycle(n: int, x: int) -> TraceResult:
 
 
 @functools.cache
-def _edge_targets() -> list[set[int]]:
-    g = build_graph()
-    targets: list[set[int]] = [set() for _ in range(g.num_vertices)]
-    for u, v, _ in g.edges:
+def _edge_targets() -> tuple[frozenset[int], ...]:
+    targets: list[set[int]] = [set() for _ in range(NUM_VERTICES)]
+    for u, v, _ in build_graph().edges:
         targets[u].add(v)
-    return targets
+    return tuple(map(frozenset, targets))
 
 
 @dataclass(frozen=True)
@@ -296,7 +306,7 @@ def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in-component predecessors padded with the index V, their costs (V
     costs 0) and their xi1 digits."""
     g = build_graph()
-    scc = tarjan_scc(g)
+    scc = _components()
     members = [v for comp in scc.nontrivial for v in comp]
     local = {v: i for i, v in enumerate(members)}
     preds: list[list[int]] = [[] for _ in members]
@@ -402,7 +412,7 @@ def graph_report() -> GraphReport:
     no-negative-cycle verdict; the tests back it with the bounded
     exhaustive cycle scan."""
     g = build_graph()
-    scc = tarjan_scc(g)
+    scc = _components()
     nontrivial = scc.nontrivial
     sizes = tuple(sorted((len(m) for m in nontrivial), reverse=True))
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import digits, motif_graph
-from .ff import check_ceiling
 from .report import Check, Verdict
 
 # ---------------------------------------------------------------------------
@@ -350,8 +349,7 @@ def check_minimizer_structure(n: int, *, ceiling: int | None = None) -> Minimize
     w(x) = k = (n-1)/2 and w(x) + w(z) = 2n - 2k = n + 1.  The ceiling
     still admits only 3^n <= ceiling.
     """
-    fam = digits.family_params(n)
-    check_ceiling(3, n, ceiling, entry_bytes=None)
+    fam = digits.admitted_family(n, ceiling)
     walks = motif_graph.walk_extremes(n)
     min_sum = walks.min_weight_sum
     k = min(walks.weights)

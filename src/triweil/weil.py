@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digits import family_params
-from .ff import CEILING_ENV_VAR, FieldCtx, FieldError, build_field, default_ceiling
+from .digits import admitted_family
+from .ff import (
+    CEILING_ENV_VAR, FIELD_ENTRY_BYTES, FieldCtx, FieldError, build_field, default_ceiling,
+)
 from .report import Check, Verdict
 
 
@@ -231,7 +233,7 @@ def check_family(n: int, *, ceiling: int | None = None) -> FamilyReport:
     and the power moments of orders 1, 2 and 4.  Failures are collected
     per item, not raised.
     """
-    fam = family_params(n)
+    fam = admitted_family(n, ceiling, entry_bytes=FIELD_ENTRY_BYTES)
     ctx = build_field(3, n, ceiling=ceiling)
     spec = spectrum(ctx, fam.d)
     q = ctx.q

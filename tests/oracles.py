@@ -10,11 +10,16 @@
   kernel_count_charsum.
 - min_short_cycle_cost: a bounded exhaustive cycle scan, the oracle for
   the Bellman-Ford no-negative-cycle verdict of motif_graph.graph_report.
+- closed_form_carries: every carry of the carry lemma from its own closed
+  form, O(n) big-integer terms per carry, the oracle for
+  digits.carry_sequence (one closed form, then the recurrence).
 """
 
 from __future__ import annotations
 
 import functools
+
+from triweil.digits import CarryError
 
 
 def poly_mulmod(a, b, modulus, p: int) -> tuple[int, ...]:
@@ -136,3 +141,28 @@ def min_short_cycle_cost(g, vertices, max_len: int = 8) -> int | None:
                 elif w > start and w not in seen and depth + 1 < max_len:
                     stack.append((w, cost + c, depth + 1, seen | {w}))
     return best
+
+
+def closed_form_carries(s, t, b: int, n: int) -> list[int]:
+    """c_i = (1/(b^n-1)) * sum_j (s_{j+i+1} - t_{j+i+1}) * b^j for each i.
+
+    Raises CarryError when s and t are not congruent mod b^n - 1, and
+    fails unless the carries satisfy s_i + c_{i-1} = t_i + b*c_i and sum
+    to (sum s - sum t)/(b - 1).
+    """
+    m = b**n - 1
+    diff = (sum(si * b**i for i, si in enumerate(s)) - sum(ti * b**i for i, ti in enumerate(t))) % m
+    if diff != 0:
+        raise CarryError(f"digit lists differ by residue {diff} mod {m}")
+    c = []
+    for i in range(n):
+        num = sum((s[(j + i + 1) % n] - t[(j + i + 1) % n]) * b**j for j in range(n))
+        if num % m != 0:
+            raise AssertionError(f"carry numerator {num} not divisible by {m}")
+        c.append(num // m)
+    for i in range(n):
+        if s[i] + c[i - 1] != t[i] + b * c[i]:
+            raise AssertionError(f"carry identity fails at index {i}")
+    if (b - 1) * sum(c) != sum(s) - sum(t):
+        raise AssertionError("carries do not sum to the weight difference")
+    return c

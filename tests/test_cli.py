@@ -185,6 +185,31 @@ def test_ceiling_message_states_size_of_long_q(capsys, monkeypatch, argv, head):
     assert capsys.readouterr().err == f"{head}raise it via ceiling= or $TRIWEIL_CEILING\n"
 
 
+@pytest.mark.parametrize(
+    "argv,ceiling",
+    [
+        (("divisibility", "--n"), "the ceiling 1594323"),
+        (("proof-check", "--n"), "the ceiling 1594323"),
+        (("spectrum", "--family"), "the table ceiling 1594323 (~10^1431359 MiB of tables)"),
+    ],
+    ids=["divisibility", "proof-check", "spectrum-family"],
+)
+def test_huge_family_n_is_refused_before_full_size_arithmetic(argv, ceiling):
+    # the gcd of family_params and the surgery identities mod 3^n - 1 would
+    # take minutes at this n; the refusal must come before them
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("TRIWEIL_CEILING", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "triweil.cli", *argv, "3000001"],
+        env=env, capture_output=True, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.decode() == (
+        f"error: q = 3^3000001 = ~10^1431364 exceeds {ceiling}; "
+        "raise it via ceiling= or $TRIWEIL_CEILING\n"
+    )
+
+
 def test_closed_stdout_exits_quietly():
     # the reader closes the pipe before the report is written, as `| head -1` does
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -204,11 +229,12 @@ def test_bad_n_is_usage_error(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("n", [1, 4, 3000000])
 @pytest.mark.parametrize(
     "argv", [("divisibility", "--n"), ("proof-check", "--n"), ("spectrum", "--family")]
 )
 def test_bad_family_n_message(capsys, argv, n):
+    # the odd-n message comes before the ceiling, also where both apply
     code = main([*argv, str(n)])
     err = capsys.readouterr().err
     assert code == 2

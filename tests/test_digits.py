@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import closed_form_carries
 
+from triweil import digits
 from triweil.digits import (
     CarryError,
     canonical_digits,
@@ -91,6 +93,59 @@ def test_carry_roundtrip_arbitrary_integers(b, data):
     c = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
     t = [s[i] + c[(i - 1) % n] - b * c[i] for i in range(n)]
     assert carry_sequence(s, t, b, n) == c
+
+
+def _value(digs, b):
+    return sum(v * b**i for i, v in enumerate(digs))
+
+
+@st.composite
+def _digit_list_pairs(draw, congruent: bool):
+    """(s, t, b, n): arbitrary integer lists, t shifted at one index so that
+    it is congruent to s mod b^n - 1, or off by a nonzero residue."""
+    b = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=8))
+    m = b**n - 1
+    s = draw(st.lists(st.integers(-100, 100), min_size=n, max_size=n))
+    t = draw(st.lists(st.integers(-100, 100), min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 1))
+    off = 0 if congruent else draw(st.integers(1, m - 1))
+    # adding delta to t_k adds delta * b^k to the value of t
+    delta = (_value(s, b) - _value(t, b) - off) * pow(b, -k, m) % m
+    t[k] += delta + draw(st.integers(-3, 3)) * m
+    return s, t, b, n
+
+
+@settings(max_examples=300)
+@given(_digit_list_pairs(congruent=True))
+def test_carry_sequence_matches_closed_form(case):
+    s, t, b, n = case
+    assert carry_sequence(s, t, b, n) == closed_form_carries(s, t, b, n)
+
+
+@settings(max_examples=200)
+@given(_digit_list_pairs(congruent=False))
+def test_carry_sequence_rejects_incongruent(case):
+    s, t, b, n = case
+    with pytest.raises(CarryError) as fast:
+        carry_sequence(s, t, b, n)
+    with pytest.raises(CarryError) as slow:
+        closed_form_carries(s, t, b, n)
+    assert str(fast.value) == str(slow.value)
+
+
+def test_carry_pass_refuses_a_wrong_last_carry():
+    # from a wrong c_{n-1} the recurrence either divides inexactly or, off
+    # by a multiple of b^n, divides exactly but does not close the cycle
+    b, n = 3, 5
+    s, t = [4, -2, 7, 0, 5], [1, 2, 0, 1, 2]
+    t[0] += (_value(s, b) - _value(t, b)) % (b**n - 1)
+    c = carry_sequence(s, t, b, n)
+    assert digits._carry_pass(s, t, b, c[-1]) == c
+    with pytest.raises(AssertionError, match="not exact"):
+        digits._carry_pass(s, t, b, c[-1] + 1)
+    with pytest.raises(AssertionError, match="do not close"):
+        digits._carry_pass(s, t, b, c[-1] + b**n)
 
 
 def test_stickelberger_family_bounds():

@@ -1,11 +1,15 @@
 """Carry graph structure, SCC/negative-cycle verification, walk tracing."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
-from oracles import min_short_cycle_cost
+from oracles import closed_form_carries, min_short_cycle_cost
 
 from triweil import digits, proof_lab
 from triweil.motif_graph import (
+    _walk_tables,
     CostGraph,
     PAIR_VERTICES,
     build_graph,
@@ -122,6 +126,60 @@ def test_trace_cycle_sampled_n9_n11():
             assert out.cost > 0 and out.cost % 2 == 1
 
 
+def _ternary(x: int, n: int) -> list[int]:
+    """The n base-3 digits of x mod 3^n - 1, little-endian, by division."""
+    x %= 3**n - 1
+    out = []
+    for _ in range(n):
+        x, digit = divmod(x, 3)
+        out.append(digit)
+    return out
+
+
+def _oracle_walk(n: int, x: int) -> tuple[tuple[int, ...], int]:
+    """The walk of x and its cost, from the closed-form carries of
+    2*x_i + x_{i-r} + z_i against the all-2 string (z = -d*x)."""
+    fam = digits.family_params(n)
+    xd, zd = _ternary(x, n), _ternary(-fam.d * x, n)
+    s = [2 * xd[i] + xd[(i - fam.r) % n] + zd[i] for i in range(n)]
+    c = closed_form_carries(s, [2] * n, 3, n)
+    X = [xd[(fam.r * j) % n] for j in range(n)]
+    C = [c[(fam.r * j) % n] for j in range(n)]
+    walk = tuple(
+        vertex_id((X[j - 1], X[j], *(C[(j + k) % n] for k in (-4, -3, -2, -1))))
+        for j in range(n)
+    )
+    return walk, n + sum(_ternary(fam.d * x, n)) - sum(xd)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_trace_cycle_matches_oracle_carries_exhaustive(n):
+    for x in range(1, 3**n - 1):
+        out = trace_cycle(n, x)
+        assert (out.walk, out.cost) == _oracle_walk(n, x), x
+
+
+def test_trace_cycle_matches_oracle_carries_n15():
+    rng = random.Random(15)
+    for _ in range(200):
+        x = rng.randrange(1, 3**15 - 1)
+        out = trace_cycle(15, x)
+        assert (out.n, out.x) == (15, x)
+        assert (out.walk, out.cost) == _oracle_walk(15, x), x
+
+
+def test_trace_cycle_at_n_1001():
+    # the carries come in one pass: a walk of 1001 steps is milliseconds
+    n = 1001
+    d, m = digits.family_params(n).d, 3**n - 1
+    rng = random.Random(1001)
+    for _ in range(3):
+        x = rng.randrange(1, m)
+        out = trace_cycle(n, x)
+        assert len(out.walk) == n and all(0 <= v < 729 for v in out.walk)
+        assert out.cost == n + sum(_ternary(d * x, n)) - sum(_ternary(x, n))
+
+
 def test_trace_cycle_rejects_zero_and_even_n():
     with pytest.raises(ValueError):
         trace_cycle(5, 0)
@@ -133,6 +191,45 @@ def test_graph_report_passes():
     rep = graph_report()
     assert rep.passed, [c.line() for c in rep.checks if not c.ok]
     assert rep.pair_cycle_cost == 2
+
+
+def test_graph_is_built_once_and_immutable():
+    g = build_graph()
+    assert build_graph() is g
+    assert isinstance(g.edges, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges = ()
+    assert graph_report() == graph_report()
+
+
+def test_walk_tables_agree_with_graph_report():
+    # the DP's vertices are those of the two nontrivial components, and their
+    # in-component predecessors split into the same two components
+    rep = graph_report()
+    pred, cost, xi1 = _walk_tables()
+    V = len(pred)
+    assert V == sum(rep.nontrivial_sizes) == 473
+    assert len(cost) == V + 1 and cost[V] == 0 and len(xi1) == V
+    comp = list(range(V + 1))  # union-find over the predecessor pairs
+
+    def root(i):
+        while comp[i] != i:
+            comp[i] = comp[comp[i]]
+            i = comp[i]
+        return i
+
+    for v in range(V):
+        for u in pred[v]:
+            if u != V:
+                comp[root(u)] = root(v)
+    groups: dict[int, list[int]] = {}
+    for v in range(V):
+        groups.setdefault(root(v), []).append(v)
+    sizes = tuple(sorted(map(len, groups.values()), reverse=True))
+    assert sizes == rep.nontrivial_sizes == (471, 2)
+    pair = next(g for g in groups.values() if len(g) == 2)
+    assert int(cost[pair].sum()) == rep.pair_cycle_cost
+    assert sorted(xi1[pair].tolist()) == sorted(t[1] for t in rep.pair_component)
 
 
 def test_closed_walks_number_3_to_the_n():
