@@ -5,12 +5,21 @@ Elements are integer codes in 0..q-1: an element with coordinates
 code sum(c_i * p^i).  A FieldCtx is its tables: exp and log for a fixed
 generator, and the absolute trace of every code.  Callers multiply, take
 powers and apply Frobenius on discrete logs held in arrays (gen^i * gen^j
-is exp[(i + j) mod q-1]); the context adds codes digit-wise, negates them,
-and reads discrete logs and the quadratic character one at a time.
+is exp[(i + j) mod q-1]); adding 1 is the Zech logarithm,
+log(1 + gen^k), read off the tables for an array of logs.  The context
+also adds codes digit-wise, negates them, and reads discrete logs and
+the quadratic character one at a time.
 
 All tables are built once at construction; a FieldCtx is immutable, and
-build_field returns one shared instance per (p, n).  The tests check the
-tables against an independent polynomial-arithmetic field.
+build_field returns one shared instance per (p, n).  An F_p-linear map
+on codes (multiplication by a fixed element, the trace) is tabulated by
+_linear_table, which keeps the digits of the images as small-int planes
+and packs them into codes at the end.  exp is filled in blocks of
+EXP_BLOCK: a first block by doubling on digit vectors, then one gather
+per block through the table of multiplication by gen^EXP_BLOCK.  The
+construction divides no q-sized array, and the Zech logarithm takes one
+residue mod p per log.  The tests check the tables against an
+independent polynomial-arithmetic field.
 """
 
 from __future__ import annotations
@@ -19,10 +28,12 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 DEFAULT_Q_CEILING = 3**13
+EXP_BLOCK = 1 << 12  # powers of the generator per gather when filling exp
 CEILING_ENV_VAR = "TRIWEIL_CEILING"
 
 
@@ -168,16 +179,6 @@ def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 
-def _add_codes(x, y, p: int, n: int):
-    """Digit-wise sum of codes x and y (Python ints or int64 arrays)."""
-    s, mult = 0, 1
-    for _ in range(n):
-        s += (x + y) % p * mult
-        x, y = x // p, y // p  # never in place: x and y may be the caller's arrays
-        mult *= p
-    return s if isinstance(s, np.ndarray) else int(s)
-
-
 @dataclass(frozen=True, eq=False)
 class FieldCtx:
     """Immutable description of GF(p^n) with precomputed tables."""
@@ -199,7 +200,13 @@ class FieldCtx:
 
     def add(self, x, y):
         """x + y for codes given as Python ints (returns an int) or int64 arrays."""
-        return _add_codes(x, y, self.p, self.n)
+        p = self.p
+        s, mult = 0, 1
+        for _ in range(self.n):
+            s += (x + y) % p * mult
+            x, y = x // p, y // p  # never in place: x and y may be the caller's arrays
+            mult *= p
+        return s if isinstance(s, np.ndarray) else int(s)
 
     def neg(self, x):
         """-x for a code given as a Python int (returns an int) or an int64 array."""
@@ -210,6 +217,17 @@ class FieldCtx:
             x = x // p  # never in place: x may be the caller's array
             mult *= p
         return s if isinstance(s, np.ndarray) else int(s)
+
+    def zech(self, k: np.ndarray) -> np.ndarray:
+        """log(1 + gen^k) for an int64 array of logs k in 0..q-2, and -1
+        where 1 + gen^k = 0 (the Zech logarithm).
+
+        Adding 1 to a code changes only its digit 0, which wraps from
+        p - 1 to 0: exactly where the code plus 1 is divisible by p.
+        """
+        c = self.exp[k] + 1
+        c -= self.p * (c % self.p == 0)
+        return self.log[c]
 
     def eta(self, x: int) -> int:
         """Quadratic character: 0 at zero, +1 on nonzero squares, -1 otherwise."""
@@ -232,10 +250,47 @@ def default_ceiling() -> int:
 
 FIELD_ENTRY_BYTES = 24  # exp, log and trace_table: one int64 each per element
 _LONG = 10**18  # check_ceiling states larger numbers by their size
+_NEAR = 20  # _stated computes a value exactly when its log10 is within 10^-_NEAR of an integer
 
 
-def _magnitude(v: int) -> str:
-    return f"~10^{math.floor(math.log10(v))}"
+def power_exceeds(p: int, n: int, limit: int) -> bool:
+    """p^n > limit, decided from logarithms; p^n is computed only when they
+    are too close to call, and then it is about the size of limit."""
+    if p < 2 or n < 1:
+        return p**n > limit
+    if limit < 2:
+        return True
+    a, b = n * math.log(p), math.log(limit)
+    if abs(a - b) > 1e-9 * (a + b + 1):  # far beyond the float error of either
+        return a > b
+    return p**n > limit
+
+
+def _stated(p: int, n: int, entry_bytes: int | None = None) -> str:
+    """p^n, or with entry_bytes the MiB of its tables as ~m, in full below
+    _LONG and as ~10^k above.
+
+    k is the floor of a logarithm to 30 digits beyond the integer part,
+    far more than _NEAR; the value itself is computed only when it lies
+    near _LONG or within 10^-_NEAR of a power of ten in log10.
+    """
+    # imported here: only a refusal states a size, and the module costs
+    # about 0.4 MiB at start-up
+    from decimal import Decimal, localcontext
+
+    with localcontext() as dec:
+        dec.prec = 30 + len(str(n))
+        size = n * Decimal(p).log10()
+        if entry_bytes is not None:
+            size += (Decimal(entry_bytes) / 2**20).log10()
+        k, near = int(size), Decimal(10) ** -_NEAR
+        if size > 20 and near < size - k < 1 - near:
+            return f"~10^{k}"
+    value = p**n if entry_bytes is None else (p**n * entry_bytes + 2**19) // 2**20
+    if value < _LONG:
+        return str(value) if entry_bytes is None else f"~{value}"
+    k = round(size)  # value lies between 10^(k - 1) and 10^(k + 1)
+    return f"~10^{k if value >= 10**k else k - 1}"
 
 
 def check_ceiling(
@@ -246,19 +301,18 @@ def check_ceiling(
     entry_bytes (the table bytes per entry, the field's by default) only
     sizes the message, which states the memory the tables would take;
     None means the caller builds no q-sized table, and the message names
-    none.  A q or a memory figure of 19 digits or more is stated as ~10^k:
-    str() refuses ints past 4300 digits.
+    none.  A q or a memory figure of 19 digits or more is stated as ~10^k.
+    Neither the decision nor the message builds p^n unless it is close
+    to the ceiling or to a power of ten, so a refusal costs no time at
+    any n.
     """
-    q = p**n
     limit = ceiling if ceiling is not None else default_ceiling()
-    if q > limit:
+    if power_exceeds(p, n, limit):
         over = f"the ceiling {limit}"
         if entry_bytes is not None:
-            mib = (q * entry_bytes + 2**19) // 2**20  # ints: a float overflows at huge q
-            mib_text = f"~{mib}" if mib < _LONG else _magnitude(mib)
-            over = f"the table ceiling {limit} ({mib_text} MiB of tables)"
+            over = f"the table ceiling {limit} ({_stated(p, n, entry_bytes)} MiB of tables)"
         raise FieldError(
-            f"q = {p}^{n} = {q if q < _LONG else _magnitude(q)} exceeds {over}; "
+            f"q = {p}^{n} = {_stated(p, n)} exceeds {over}; "
             f"raise it via ceiling= or ${CEILING_ENV_VAR}"
         )
 
@@ -296,21 +350,20 @@ def _build_field(p: int, n: int) -> FieldCtx:
     gen = next(c for c in range(1, q) if has_full_order(c))
     gen_digits = list(code_digits(gen, p, n))
 
-    # P[x] = code(gen * x); the images of the basis are gen * alpha^k
-    P = _linear_table([_reduce([0] * k + gen_digits, modulus, p) for k in range(n)], p, n)
-
-    # exp by doubling: P multiplies by gen^k while exp[:k] is filled
+    # exp in blocks of B: the first block by doubling on digit vectors,
+    # then each block is the block before it times gen^B, one gather
+    # through the table of that multiplication
     Q = q - 1
+    B = min(EXP_BLOCK, Q)
     exp = np.empty(Q, dtype=np.int64)
-    exp[0] = 1
-    k = 1
-    while k < Q:
-        m = min(k, Q - k)
-        np.take(P, exp[:m], out=exp[k : k + m])
-        k += m
-        if k < Q:
-            P = P[P]
-    del P
+    exp[:B] = _first_powers(_basis_images(gen_digits, modulus, p), p, B)
+    if B < Q:
+        gen_b = _powmod(gen_digits, B, modulus, p)
+        times_gen_b = _linear_table(_basis_images(gen_b, modulus, p), p, n)
+        for start in range(B, Q, B):
+            m = min(B, Q - start)
+            np.take(times_gen_b, exp[start - B : start - B + m], out=exp[start : start + m])
+        del times_gen_b
     if _mulmod(list(code_digits(int(exp[-1]), p, n)), gen_digits, modulus, p) != [1]:
         raise FieldError("generator power cycle did not close")  # defensive
 
@@ -325,6 +378,31 @@ def _build_field(p: int, n: int) -> FieldCtx:
     )
 
 
+def _basis_images(x: list[int], modulus: tuple[int, ...], p: int) -> list[list[int]]:
+    """Digits of x * alpha^k for k = 0..n-1: multiplication by x on the basis."""
+    return [_reduce([0] * k + x, modulus, p) for k in range(len(modulus) - 1)]
+
+
+def _first_powers(images: list[list[int]], p: int, count: int) -> np.ndarray:
+    """Codes of gen^0, ..., gen^(count-1), where images[k] holds the digits
+    of gen * alpha^k.
+
+    The digit vectors double: with the rows of gen^0..gen^(k-1) at hand,
+    the next k rows are those times the matrix M of multiplication by
+    gen^k, which then squares.  Entries stay below n * p^2.
+    """
+    n = len(images)
+    M = np.zeros((n, n), dtype=np.int64)
+    for k, image in enumerate(images):
+        M[k, : len(image)] = image
+    rows = np.zeros((1, n), dtype=np.int64)
+    rows[0, 0] = 1
+    while len(rows) < count:
+        rows = np.concatenate([rows, rows @ M % p])
+        M = M @ M % p
+    return rows[:count] @ p ** np.arange(n, dtype=np.int64)
+
+
 def _linear_table(images: list[list[int]], p: int, width: int) -> np.ndarray:
     """Codes of an F_p-linear map on all p^len(images) codes.
 
@@ -332,13 +410,35 @@ def _linear_table(images: list[list[int]], p: int, width: int) -> np.ndarray:
     the image of alpha^k.  The table grows one digit of the argument at a
     time: the codes with top digit c at position k map to
     c * images[k] + (the image of the lower digits), added digit-wise.
+    Each digit of the image is a plane of small ints while the table
+    grows; the last step packs the planes into codes one top digit at a
+    time, in the narrowest unsigned dtype that holds every code, so no
+    q-sized array is divided.
     """
-    digit = np.arange(p, dtype=np.int64)
-    table = np.zeros(1, dtype=np.int64)
-    for image in images:
-        scaled = sum(digit * c % p * p**j for j, c in enumerate(image))  # codes of c * image
-        table = _add_codes(scaled[:, None], table, p, width).ravel()
-    return table
+    planes = [np.zeros(1, dtype=np.min_scalar_type(2 * p - 2))] * width
+    *lower, last = images
+    for image in lower:
+        planes = [_plane_step(plane, c, p) for plane, c in zip_longest(planes, image, fillvalue=0)]
+    steps = reversed(list(zip_longest(planes, last, fillvalue=0)))
+    table = _plane_step(*next(steps), p).astype(np.min_scalar_type(p**width - 1))
+    for plane, c in steps:
+        table *= table.dtype.type(p)
+        table += _plane_step(plane, c, p)
+    return table.astype(np.int64)
+
+
+def _plane_step(plane: np.ndarray, c: int, p: int) -> np.ndarray:
+    """One digit plane grown by a digit of the argument: c * x + plane mod p
+    for x = 0..p-1 in turn.
+
+    Both terms are below p, so the sum is reduced by one subtraction of p
+    where it reaches p.  The plane's dtype is unsigned and holds 2p - 2, so
+    where the sum is below p the subtraction wraps around above it, and the
+    smaller of the two is the reduced digit.
+    """
+    grown = (np.arange(p) * c % p).astype(plane.dtype)[:, None] + plane
+    np.minimum(grown, grown - plane.dtype.type(p), out=grown)
+    return grown.ravel()
 
 
 def _trace_table(p, n, q, exp, log) -> np.ndarray:

@@ -10,10 +10,12 @@ runs on a polynomial-arithmetic field that shares no table with FieldCtx;
 the tests compare it with both routes.
 
 Both O(q) routes run on discrete logs as array operations: the nonzero w
-is gen^lw, a power w^e is exp[lw*e mod (q-1)], a quotient is a difference
-of logs, and the quadratic character is the parity of the log.  The logs
-are taken in blocks of LOG_BLOCK, so the temporaries stay a few blocks
-in size, far below the field's own tables.
+is gen^lw, a power w^e has the log lw*e mod (q-1), a quotient is a
+difference of logs, and the quadratic character is the parity of the
+log.  The one sum either route needs, 1 + w^e, is the Zech logarithm
+FieldCtx.zech, which is -1 where the sum is 0; no code is added digit by
+digit.  The logs are taken in blocks of LOG_BLOCK, so the temporaries
+stay a few blocks in size, far below the field's own tables.
 """
 
 from __future__ import annotations
@@ -45,18 +47,22 @@ def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
     and the number of y solving it is read off the discrete log: with
     w = gen^lw, log(-w/A(w)) = log(-1) + lw - log(A(w)) mod q - 1, and
     there are g = gcd(e, q - 1) solutions y when g divides it, none when
-    A(w) = 0 (then A(w)*y^e is 0 but -w is not).  Each block of logs is
-    one array step.
+    A(w) = 0 (then A(w)*y^e is 0 but -w is not).  Since
+    A(w) = w^(p^r) * (1 + w^(p^2r - p^r)), log(A(w)) = lw*p^r + Z(lw*e2)
+    with the Zech log Z and e2 = p^2r - p^r, and A(w) = 0 exactly where
+    Z is -1.  As g divides q - 1, the test needs the logs only mod g.
+    Each block of logs is one array step.
     """
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
     frob_r, frob_2r = pow(p, r, Q), pow(p, 2 * r, Q)
     g = math.gcd((frob_r + frob_2r - 2) % Q, Q)
+    e2 = (frob_2r - frob_r) % Q
     log_minus_one = ctx.index(ctx.neg(1))
     count = 2 * q - 1
     for lw in _log_blocks(ctx):
-        aw = ctx.add(ctx.exp[lw * frob_2r % Q], ctx.exp[lw * frob_r % Q])
-        solvable = (log_minus_one + lw - ctx.log[aw]) % Q % g == 0
-        count += g * int(np.count_nonzero(solvable & (aw != 0)))
+        z = ctx.zech(lw * e2 % Q)
+        solvable = (log_minus_one + lw * ((1 - frob_r) % g) - z) % g == 0
+        count += g * int(np.count_nonzero(solvable & (z != -1)))
     return count
 
 
@@ -70,18 +76,18 @@ class CharSumCount:
 def _eta_power_plus_one(ctx: FieldCtx, e: int) -> tuple[int, int]:
     """(sum of eta(w^e + 1), number of w with w^e = -1) over the nonzero w.
 
-    w^e = exp[lw*e mod q-1] and eta is the parity of the log (eta(0) = 0),
-    one block of logs at a time.  Odd characteristic only.
+    w^e + 1 = gen^Z(lw*e) with the Zech log Z, so eta(w^e + 1) is the
+    parity of Z, and w^e = -1 exactly where Z is -1 (eta(0) = 0), one
+    block of logs at a time.  Odd characteristic only.
     """
     Q = ctx.q - 1
     total = zeros = 0
     for lw in _log_blocks(ctx):
-        t = ctx.add(ctx.exp[lw * e % Q], 1)
-        nonzero = t != 0
-        odd = int(np.count_nonzero(nonzero & (ctx.log[t] % 2 == 1)))
-        nonzeros = int(np.count_nonzero(nonzero))
-        total += nonzeros - 2 * odd
-        zeros += t.size - nonzeros
+        z = ctx.zech(lw * e % Q)
+        hits = int(np.count_nonzero(z == -1))
+        odd = int(np.count_nonzero(z & 1)) - hits  # -1 is odd as an int64
+        total += z.size - hits - 2 * odd
+        zeros += hits
     return total, zeros
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .digits import admitted_family
 from .ff import (
     CEILING_ENV_VAR, FIELD_ENTRY_BYTES, FieldCtx, FieldError, build_field, default_ceiling,
+    power_exceeds,
 )
 from .report import Check, Verdict
 
@@ -181,18 +182,19 @@ def check_spectrum_work(p: int, n: int, ceiling: int | None = None) -> None:
     the family's own count at q = ceiling, 9*k*ceiling with
     k = floor(log_3 ceiling), so the family is admitted whenever its tables
     are; a prime field near the ceiling, whose work is about q^2, is not.
-    A q over the ceiling, or an n < 1 (0^-1 has no value), is left to
-    build_field, which states its tables or refuses the degree.
+    A q over the ceiling (decided without building q), a p < 2 or an
+    n < 1 (0^-1 has no value) is left to build_field, which states its
+    tables or refuses the prime or the degree.
     """
-    if n < 1:
-        return
     limit = ceiling if ceiling is not None else default_ceiling()
+    if p < 2 or n < 1 or power_exceeds(p, n, limit):
+        return
     q = p**n
     k = 0
     while 3 ** (k + 1) <= limit:
         k += 1
     work, budget = p * q * (1 + (n - 1) * p), 9 * k * limit
-    if q <= limit and work > budget:
+    if work > budget:
         raise FieldError(
             f"spectrum at q = {p}^{n} needs ~{work} element operations, over the "
             f"budget {budget} of the family at q = ceiling {limit}; "

@@ -5,6 +5,8 @@
   generator per power.  It shares no code with triweil.ff's construction
   (no doubling, no linear tables, no digit-wise array adds) and never reads
   a FieldCtx table, so a wrong table entry shows up as a disagreement.
+- linear_table_naive: the table of an F_p-linear map on codes, one code
+  at a time with Python ints, the oracle for triweil.ff._linear_table.
 - kernel_count_naive and on_curve: the O(q^2) scan of the trilinear kernel
   on a RefField, the oracle for kernel_curve.kernel_count_direct and
   kernel_count_charsum.
@@ -93,6 +95,20 @@ class RefField:
         if total >= self.p:
             raise AssertionError(f"trace of {x} left the prime field")
         return total
+
+
+def linear_table_naive(images, p: int, width: int) -> list[int]:
+    """Code of sum_k x_k * images[k], digit by digit mod p, for every code
+    x of len(images) digits; images[k] holds at most width digits."""
+    table = []
+    for x in range(p ** len(images)):
+        out = [0] * width
+        for k, image in enumerate(images):
+            xk = x // p**k % p
+            for j, c in enumerate(image):
+                out[j] = (out[j] + xk * c) % p
+        table.append(sum(d * p**j for j, d in enumerate(out)))
+    return table
 
 
 @functools.cache

@@ -210,6 +210,31 @@ def test_huge_family_n_is_refused_before_full_size_arithmetic(argv, ceiling):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,head",
+    [
+        (("kernel", "--n", "1000000001", "--r", "1"),
+         "error: q = 3^1000000001 = ~10^477121255 exceeds the table ceiling 1594323 "
+         "(~10^477121250 MiB of tables); "),
+        (("spectrum", "--p", "3", "--n", "1000000001", "--d", "5"),
+         "error: q = 3^1000000001 = ~10^477121255 exceeds the table ceiling 1594323 "
+         "(~10^477121250 MiB of tables); "),
+    ],
+    ids=["kernel", "spectrum-p"],
+)
+def test_huge_field_n_is_refused_without_building_q(argv, head):
+    # 3^n alone would take minutes at this n: the ceiling is decided and
+    # stated from logarithms
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("TRIWEIL_CEILING", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "triweil.cli", *argv],
+        env=env, capture_output=True, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.decode() == f"{head}raise it via ceiling= or $TRIWEIL_CEILING\n"
+
+
 def test_closed_stdout_exits_quietly():
     # the reader closes the pipe before the report is written, as `| head -1` does
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

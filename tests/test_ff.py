@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 import sympy
-from oracles import ref_of
+from oracles import linear_table_naive, ref_of
 
+from triweil import ff
 from triweil.ff import FieldError, build_field, code_digits, digits_code, is_irreducible
 
 
@@ -160,7 +161,7 @@ def test_index_roundtrip():
     "p,n", [(2, 5), (3, 1), (3, 7), (5, 3), (7, 2), (1009, 1), (3, 9)]
 )
 def test_exp_table_steps_by_generator(p, n):
-    # the doubled table against one polynomial multiplication per step
+    # the block-filled table against one polynomial multiplication per step
     ctx = build_field(p, n)
     Q = ctx.q - 1
     exp = ctx.exp.tolist()
@@ -197,3 +198,80 @@ def test_quadratic_character():
     squares = {F.poly_mul(x, x) for x in range(1, ctx.q)}
     for x in range(1, ctx.q):
         assert ctx.eta(x) == (1 if x in squares else -1)
+
+
+@pytest.mark.parametrize(
+    "p,width,images",
+    [
+        (2, 4, [[1, 1], [0, 1, 1], [1, 0, 1, 1], [1]]),  # images shorter than the width
+        (3, 3, [[2, 1, 2], [0, 0, 1], [1, 2]]),
+        (3, 1, [[2], [0], [1], [1], [2]]),  # the trace table's shape
+        (5, 2, [[4, 3], [1, 4], [0, 2]]),
+        (1009, 1, [[1008]]),  # planes wider than int8
+        (1009, 2, [[17, 1008], [1008, 0]]),
+    ],
+)
+def test_linear_table_matches_digit_by_digit_oracle(p, width, images):
+    table = ff._linear_table(images, p, width)
+    assert table.dtype == np.int64
+    assert table.tolist() == linear_table_naive(images, p, width)
+
+
+@pytest.fixture
+def fresh_fields():
+    # _build_field is cached per (p, n); rebuild under the test's EXP_BLOCK
+    ff._build_field.cache_clear()
+    yield
+    ff._build_field.cache_clear()
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 7), (5, 3), (7, 2), (1009, 1), (3, 9)])
+def test_exp_block_does_not_change_the_tables(monkeypatch, fresh_fields, p, n):
+    default = build_field(p, n)
+    for block in (7, p**n):  # a ragged last block; one block of all q - 1 powers
+        monkeypatch.setattr(ff, "EXP_BLOCK", block)
+        ff._build_field.cache_clear()
+        ctx = build_field(p, n)
+        assert ctx is not default
+        for name in ("exp", "log", "trace_table"):
+            got, want = getattr(ctx, name), getattr(default, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (block, name)
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 3), (2, 5)])
+def test_zech_log_matches_reference_field(p, n):
+    ctx = build_field(p, n)
+    F = ref_of(ctx)
+    Q = ctx.q - 1
+    want = []
+    for k in range(Q):
+        s = F.add(1, F.powers[k])
+        want.append(F.log[s] if s else -1)
+    assert ctx.zech(np.arange(Q, dtype=np.int64)).tolist() == want
+    # 1 + gen^k = 0 exactly where gen^k = -1: k = Q/2 for odd p, k = 0 for p = 2
+    assert [k for k, z in enumerate(want) if z == -1] == [Q // 2 if p % 2 else 0]
+
+
+def test_ceiling_check_from_logarithms_agrees_with_exact_powers(monkeypatch):
+    # near the boundary the powers are compared exactly
+    for p, n in [(2, 64), (3, 13), (3, 40), (5, 200), (1009, 7)]:
+        q = p**n
+        assert ff.power_exceeds(p, n, q - 1)
+        assert not ff.power_exceeds(p, n, q)
+        assert not ff.power_exceeds(p, n, q + 1)
+    # the stated figures, from the exact value's decimal digits
+    def stated(p, n, entry_bytes):
+        v = p**n if entry_bytes is None else (p**n * entry_bytes + 2**19) // 2**20
+        if v < 10**18:
+            return str(v) if entry_bytes is None else f"~{v}"
+        return f"~10^{len(str(v)) - 1}"
+
+    cases = [(2, 59, 24), (2, 60, 24), (3, 37, None), (3, 38, None), (3, 38, 9),
+             (7, 21, 24), (1009, 7, None), (1594301, 3, 24), (2, 2000, 24),
+             (2, 2000, None), (3, 2000, 10), (10007, 900, None)]
+    want = [stated(p, n, eb) for p, n, eb in cases]
+    assert want[2:4] == ["450283905890997363", "~10^18"]
+    assert [ff._stated(p, n, eb) for p, n, eb in cases] == want
+    # every figure computed exactly instead, as for a value next to a power of ten
+    monkeypatch.setattr(ff, "_NEAR", 0)
+    assert [ff._stated(p, n, eb) for p, n, eb in cases] == want

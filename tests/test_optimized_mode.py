@@ -23,9 +23,13 @@ def test_no_assert_statements_in_src():
 def test_report_under_optimize_matches_golden():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("TRIWEIL_CEILING", None)
-    for command in ("divisibility", "proof-check"):
+    for argv, golden in [
+        (("divisibility", "--n", "7"), "divisibility_n_7.json"),
+        (("proof-check", "--n", "7"), "proof-check_n_7.json"),
+        (("kernel", "--n", "7", "--r", "2"), "kernel_n_7_r_2.json"),
+    ]:
         out = subprocess.run(
-            [sys.executable, "-O", "-m", "triweil.cli", "--json", command, "--n", "7"],
+            [sys.executable, "-O", "-m", "triweil.cli", "--json", *argv],
             env=env, capture_output=True, check=True, timeout=60,
         ).stdout
-        assert out == (ROOT / "perfbench" / "golden" / f"{command}_n_7.json").read_bytes()
+        assert out == (ROOT / "perfbench" / "golden" / golden).read_bytes()
