@@ -7,19 +7,23 @@ generator, and the absolute trace of every code.  Callers multiply, take
 powers and apply Frobenius on discrete logs held in arrays (gen^i * gen^j
 is exp[(i + j) mod q-1]); adding 1 is the Zech logarithm,
 log(1 + gen^k), read off the tables for an array of logs.  The context
-also adds codes digit-wise, negates them, and reads discrete logs and
-the quadratic character one at a time.
+also reads discrete logs and the quadratic character one at a time; -1
+is the code p - 1.
 
 All tables are built once at construction; a FieldCtx is immutable, and
-build_field returns one shared instance per (p, n).  An F_p-linear map
-on codes (multiplication by a fixed element, the trace) is tabulated by
-_linear_table, which keeps the digits of the images as small-int planes
-and packs them into codes at the end.  exp is filled in blocks of
-EXP_BLOCK: a first block by doubling on digit vectors, then one gather
-per block through the table of multiplication by gen^EXP_BLOCK.  The
-construction divides no q-sized array, and the Zech logarithm takes one
-residue mod p per log.  The tests check the tables against an
-independent polynomial-arithmetic field.
+build_field returns one shared instance per (p, n).  The construction
+multiplies elements one way only, as n x n matrices over F_p: the matrix
+of an element holds the digits of its products with the basis.  The
+modulus search, the generator search and the closing check raise
+matrices to powers, and the trace of alpha^j is the trace of its matrix.
+An F_p-linear map on codes (multiplication by gen^EXP_BLOCK, the trace)
+is tabulated by _linear_table from the images of the basis, keeping
+their digits as small-int planes and packing them into codes at the end.
+exp is filled in blocks of EXP_BLOCK: a first block by doubling on digit
+vectors, then one gather per block through the table of multiplication
+by gen^EXP_BLOCK.  The construction divides no q-sized array, and the
+Zech logarithm takes one residue mod p per log.  The tests check the
+tables against an independent polynomial-arithmetic field.
 """
 
 from __future__ import annotations
@@ -68,90 +72,67 @@ def prime_factors(m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic over F_p, little-endian coefficient lists.
-# Used only during construction; bulk arithmetic goes through the log tables.
+# Multiplication matrices over F_p.  Row k of the matrix M_y of an element y
+# holds the digits of alpha^k * y, so the digits of x * y are
+# digits(x) @ M_y % p and the matrix of x * y is M_x @ M_y % p.  Entries
+# stay below p, so every entry of a product of two is below n * p^2.
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _companion(modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """The matrix of alpha for a monic modulus: alpha^k * alpha = alpha^(k+1),
+    and alpha^n = -sum modulus[j] * alpha^j."""
+    n = len(modulus) - 1
+    C = np.eye(n, k=1, dtype=np.int64)
+    C[-1] = [-c % p for c in modulus[:-1]]
+    return C
 
 
-def _reduce(a: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    # mod is monic; fold x^k for k >= deg(mod) down using x^n = -sum mod[j] x^j
-    n = len(mod) - 1
-    a = list(a)
-    for k in range(len(a) - 1, n - 1, -1):
-        c = a[k]
-        if c:
-            a[k] = 0
-            for j in range(n):
-                a[k - n + j] = (a[k - n + j] - c * mod[j]) % p
-    return _trim(a[:n])
+def _mult_matrix(digits, C: np.ndarray, p: int) -> np.ndarray:
+    """The matrix of the element with these digits: row k + 1 is row k times
+    alpha."""
+    rows = [np.asarray(digits, dtype=np.int64)]
+    for _ in range(len(C) - 1):
+        rows.append(rows[-1] @ C % p)
+    return np.array(rows)
 
 
-def _mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _reduce(res, mod, p)
-
-
-def _powmod(base: list[int], e: int, mod: tuple[int, ...], p: int) -> list[int]:
-    result = [1]
-    b = _reduce(base, mod, p)
+def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e mod p for e >= 0, by square-and-multiply."""
+    result = np.eye(len(M), dtype=np.int64)
     while e:
         if e & 1:
-            result = _mulmod(result, b, mod, p)
-        b = _mulmod(b, b, mod, p)
+            result = result @ M % p
+        M = M @ M % p
         e >>= 1
     return result
 
 
-def _rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _trim(list(a))
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    while a and len(a) - 1 >= db:
-        c = (a[-1] * inv) % p
-        k = len(a) - 1 - db
-        for j in range(db + 1):
-            a[k + j] = (a[k + j] - c * b[j]) % p
-        a = _trim(a)
-    return a
-
-
-def _polygcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _rem(a, b, p)
-    return a
+def _invertible(M: np.ndarray, p: int) -> bool:
+    """Whether M is invertible mod p, by Gaussian elimination."""
+    A = M % p
+    for col in range(len(A)):
+        pivots = np.flatnonzero(A[col:, col])
+        if not len(pivots):
+            return False
+        A[[col, col + pivots[0]]] = A[[col + pivots[0], col]]
+        A[col] = A[col] * pow(int(A[col, col]), -1, p) % p
+        A[col + 1 :] = (A[col + 1 :] - A[col + 1 :, col, None] * A[col]) % p
+    return True
 
 
 def is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Monic mod is irreducible iff x^(p^n) = x mod it and, for every prime
-    l | n, gcd(x^(p^(n/l)) - x, mod) is constant."""
+    l | n, gcd(x^(p^(n/l)) - x, mod) is constant.
+
+    On the matrix C of x modulo mod: C^(p^n) = C, and each C^(p^(n/l)) - C
+    is invertible, since a polynomial in C is invertible exactly when the
+    polynomial is prime to mod.
+    """
     n = len(mod) - 1
-    if n == 1:
-        return True
-    x = [0, 1]
-    if _powmod(x, p**n, mod, p) != x:
+    C = _companion(mod, p)
+    if not np.array_equal(_matpow(C, p**n, p), C):
         return False
-    for ell in prime_factors(n):
-        xk = _powmod(x, p ** (n // ell), mod, p)
-        diff = [0] * max(len(xk), 2)
-        for i, c in enumerate(xk):
-            diff[i] = c
-        diff[1] = (diff[1] - 1) % p
-        g = _polygcd(diff, list(mod), p)
-        if len(g) > 1:
-            return False
-    return True
+    return all(_invertible(_matpow(C, p ** (n // ell), p) - C, p) for ell in prime_factors(n))
 
 
 def code_digits(code: int, p: int, n: int) -> tuple[int, ...]:
@@ -197,26 +178,6 @@ class FieldCtx:
         if x == 0:
             raise FieldError("zero has no discrete log")
         return int(self.log[x])
-
-    def add(self, x, y):
-        """x + y for codes given as Python ints (returns an int) or int64 arrays."""
-        p = self.p
-        s, mult = 0, 1
-        for _ in range(self.n):
-            s += (x + y) % p * mult
-            x, y = x // p, y // p  # never in place: x and y may be the caller's arrays
-            mult *= p
-        return s if isinstance(s, np.ndarray) else int(s)
-
-    def neg(self, x):
-        """-x for a code given as a Python int (returns an int) or an int64 array."""
-        p = self.p
-        s, mult = 0, 1
-        for _ in range(self.n):
-            s += -x % p * mult
-            x = x // p  # never in place: x may be the caller's array
-            mult *= p
-        return s if isinstance(s, np.ndarray) else int(s)
 
     def zech(self, k: np.ndarray) -> np.ndarray:
         """log(1 + gen^k) for an int64 array of logs k in 0..q-2, and -1
@@ -338,17 +299,16 @@ def _build_field(p: int, n: int) -> FieldCtx:
     q = p**n
     modulus = _smallest_modulus(p, n)
 
+    C = _companion(modulus, p)
+    one = np.eye(n, dtype=np.int64)
     qm1_factors = prime_factors(q - 1)
 
     def has_full_order(code: int) -> bool:
-        digs = list(code_digits(code, p, n))
-        for ell in qm1_factors:
-            if digits_code(_powmod(digs, (q - 1) // ell, modulus, p), p) == 1:
-                return False
-        return True
+        M = _mult_matrix(code_digits(code, p, n), C, p)
+        return not any(np.array_equal(_matpow(M, (q - 1) // ell, p), one) for ell in qm1_factors)
 
     gen = next(c for c in range(1, q) if has_full_order(c))
-    gen_digits = list(code_digits(gen, p, n))
+    M_gen = _mult_matrix(code_digits(gen, p, n), C, p)
 
     # exp in blocks of B: the first block by doubling on digit vectors,
     # then each block is the block before it times gen^B, one gather
@@ -356,21 +316,25 @@ def _build_field(p: int, n: int) -> FieldCtx:
     Q = q - 1
     B = min(EXP_BLOCK, Q)
     exp = np.empty(Q, dtype=np.int64)
-    exp[:B] = _first_powers(_basis_images(gen_digits, modulus, p), p, B)
+    exp[:B] = _first_powers(M_gen, p, B)
     if B < Q:
-        gen_b = _powmod(gen_digits, B, modulus, p)
-        times_gen_b = _linear_table(_basis_images(gen_b, modulus, p), p, n)
+        times_gen_b = _linear_table(_matpow(M_gen, B, p), p, n)
         for start in range(B, Q, B):
             m = min(B, Q - start)
             np.take(times_gen_b, exp[start - B : start - B + m], out=exp[start : start + m])
         del times_gen_b
-    if _mulmod(list(code_digits(int(exp[-1]), p, n)), gen_digits, modulus, p) != [1]:
+    if not np.array_equal(np.array(code_digits(int(exp[-1]), p, n)) @ M_gen % p, one[0]):
         raise FieldError("generator power cycle did not close")  # defensive
 
     log = np.full(q, -1, dtype=np.int64)
     log[exp] = np.arange(Q)
 
-    trace_table = _trace_table(p, n, q, exp, log)
+    # Tr(alpha^j) is the trace of multiplication by alpha^j, the matrix C^j
+    power, basis_tr = one, []
+    for _ in range(n):
+        basis_tr.append([int(np.trace(power)) % p])
+        power = power @ C % p
+    trace_table = _linear_table(basis_tr, p, 1)
 
     return FieldCtx(
         p=p, n=n, q=q, modulus=modulus, gen=gen,
@@ -378,25 +342,15 @@ def _build_field(p: int, n: int) -> FieldCtx:
     )
 
 
-def _basis_images(x: list[int], modulus: tuple[int, ...], p: int) -> list[list[int]]:
-    """Digits of x * alpha^k for k = 0..n-1: multiplication by x on the basis."""
-    return [_reduce([0] * k + x, modulus, p) for k in range(len(modulus) - 1)]
-
-
-def _first_powers(images: list[list[int]], p: int, count: int) -> np.ndarray:
-    """Codes of gen^0, ..., gen^(count-1), where images[k] holds the digits
-    of gen * alpha^k.
+def _first_powers(M: np.ndarray, p: int, count: int) -> np.ndarray:
+    """Codes of gen^0, ..., gen^(count-1), where M is the matrix of gen.
 
     The digit vectors double: with the rows of gen^0..gen^(k-1) at hand,
-    the next k rows are those times the matrix M of multiplication by
-    gen^k, which then squares.  Entries stay below n * p^2.
+    the next k rows are those times M, the matrix of gen^k, which then
+    squares.
     """
-    n = len(images)
-    M = np.zeros((n, n), dtype=np.int64)
-    for k, image in enumerate(images):
-        M[k, : len(image)] = image
-    rows = np.zeros((1, n), dtype=np.int64)
-    rows[0, 0] = 1
+    n = len(M)
+    rows = np.eye(1, n, dtype=np.int64)
     while len(rows) < count:
         rows = np.concatenate([rows, rows @ M % p])
         M = M @ M % p
@@ -440,19 +394,3 @@ def _plane_step(plane: np.ndarray, c: int, p: int) -> np.ndarray:
     np.minimum(grown, grown - plane.dtype.type(p), out=grown)
     return grown.ravel()
 
-
-def _trace_table(p, n, q, exp, log) -> np.ndarray:
-    # Tr is F_p-linear: evaluate it on the power basis, then extend by digits.
-    qm1 = q - 1
-    basis_tr = []
-    for j in range(n):
-        code = p**j  # alpha^j
-        acc_digits = [0] * n
-        for i in range(n):
-            fr = int(exp[(int(log[code]) * pow(p, i, qm1)) % qm1])
-            fd = code_digits(fr, p, n)
-            acc_digits = [(a + b) % p for a, b in zip(acc_digits, fd)]
-        if any(acc_digits[1:]):
-            raise FieldError("trace left the prime field")  # defensive
-        basis_tr.append(acc_digits[:1])
-    return _linear_table(basis_tr, p, 1)

@@ -57,7 +57,7 @@ def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
     frob_r, frob_2r = pow(p, r, Q), pow(p, 2 * r, Q)
     g = math.gcd((frob_r + frob_2r - 2) % Q, Q)
     e2 = (frob_2r - frob_r) % Q
-    log_minus_one = ctx.index(ctx.neg(1))
+    log_minus_one = ctx.index(ctx.p - 1)
     count = 2 * q - 1
     for lw in _log_blocks(ctx):
         z = ctx.zech(lw * e2 % Q)
@@ -102,7 +102,7 @@ def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
     e2 = (pow(p, 2 * r, Q) - pow(p, r, Q)) % Q
     # w^(p^2r - p^r) is a square, so it meets -1 only when -1 is a square
-    minus_one_square = ctx.eta(ctx.neg(1)) == 1
+    minus_one_square = ctx.eta(ctx.p - 1) == 1
     s, hits_minus_one = _eta_power_plus_one(ctx, e2)
     if hits_minus_one and not minus_one_square:
         raise ArithmeticError("w^(p^2r - p^r) = -1 although -1 is a non-square")

@@ -3,8 +3,9 @@
 - RefField rebuilds GF(p^n) from a field's modulus and generator with
   schoolbook polynomial arithmetic: one polynomial multiplication by the
   generator per power.  It shares no code with triweil.ff's construction
-  (no doubling, no linear tables, no digit-wise array adds) and never reads
-  a FieldCtx table, so a wrong table entry shows up as a disagreement.
+  (no multiplication matrices, no doubling, no linear tables) and never
+  reads a FieldCtx table, so a wrong table entry shows up as a
+  disagreement.
 - linear_table_naive: the table of an F_p-linear map on codes, one code
   at a time with Python ints, the oracle for triweil.ff._linear_table.
 - kernel_count_naive and on_curve: the O(q^2) scan of the trilinear kernel
