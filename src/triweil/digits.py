@@ -14,15 +14,11 @@ is also the congruence test, and derives the others in one pass from
 c_i = (s_i + c_{i-1} - t_i)/b: one sum over integers of n digits and n
 small divisions, where evaluating every closed form takes n such sums.
 
-For the family exponent the lemma turns residues into walks (the full
-argument is in the motif_graph docstring): the carries of d*x are unique
-and lie in {0,1,2}, so each nonzero x mod 3^n - 1 is exactly one closed
-walk of length n in the 729-vertex carry graph, of cost n + w(d*x) - w(x),
-and the zero residue is two walks of cost n.  Some walk costs n - 2
-(x = -1) and the family witness costs 2n - 1, so the extremes over all
-walks are the extremes over nonzero x.  verify_divisibility reads both
-from those walks; weight_sums, the exhaustive table scan, serves general
-p and d and is the tests' oracle for the family.
+For the family exponent the lemma makes each nonzero residue one closed
+walk in the carry graph (the argument is in the motif_graph docstring,
+and motif_graph.trace_cycle derives the walk).  verify_divisibility reads
+both weight extremes from those walks; weight_sums, the exhaustive table
+scan, serves general p and d and is the tests' oracle for the family.
 """
 
 from __future__ import annotations
@@ -153,22 +149,6 @@ def _carry_pass(s: list[int], t: list[int], b: int, last: int) -> list[int]:
     return c
 
 
-def family_carries(n: int, x: int):
-    """The carries of one nonzero family residue x at odd n.
-
-    Returns (fam, x mod 3^n - 1, digits of x, digits of z = -d*x, c), where c
-    carries 2*x_i + x_{i-r} + z_i against the all-2 string (the zero residue).
-    """
-    fam = family_params(n)
-    x %= fam.m
-    if x == 0:
-        raise ValueError("x must be a nonzero residue")
-    xd = canonical_digits(x, 3, n)
-    zd = canonical_digits(-fam.d * x, 3, n)
-    s = [2 * xd[i] + xd[(i - fam.r) % n] + zd[i] for i in range(n)]
-    return fam, x, xd, zd, carry_sequence(s, [2] * n, 3, n)
-
-
 def weight_sums(
     p: int, n: int, d: int, *, ceiling: int | None = None
 ) -> tuple[np.ndarray, int, np.ndarray, int]:
@@ -180,11 +160,11 @@ def weight_sums(
     the walk route of motif_graph gives the same numbers without a table,
     and the tests hold the two equal.
     """
+    # the weight table and its int64 index d*j mod m; refused before p^n is built
+    check_ceiling(p, n, ceiling, entry_bytes=_weight_dtype(p, n).itemsize + 8)
     m = p**n - 1
     if math.gcd(d, m) != 1:
         raise ValueError(f"d = {d} is not coprime to {p}^{n} - 1")
-    # the weight table and its int64 index d*j mod m
-    check_ceiling(p, n, ceiling, entry_bytes=_weight_dtype(p, n).itemsize + 8)
     w = weight_table(p, n)
     dj = np.arange(1, m, dtype=np.int64)
     dj *= d % m
@@ -223,29 +203,15 @@ def stickelberger_bound(p: int, n: int, d: int) -> StickelbergerReport:
     )
 
 
-@dataclass(frozen=True)
-class WitnessReport(Verdict):
-    n: int
-    r: int
-    d: int
-    a: int
-    checks: list[Check]
-
-
-def family_witness(n: int) -> WitnessReport:
-    """The explicit residue attaining weight sum n + 1 for the family.
+def family_witness(n: int) -> int:
+    """The explicit residue a attaining weight sum n + 1 for the family.
 
     a = 1 + 3^(2r) + 3^(4r) + ... + 3^((n-3)r) has weight (n-1)/2 and
-    -d*a has weight (n+3)/2.
+    -d*a has weight (n+3)/2.  The reports imply both: a is a weight-sum
+    minimizer (sum n + 1) of the least weight among them, k = (n-1)/2.
     """
     fam = family_params(n)
-    a = sum(pow(3, (2 * fam.r * k) % n, fam.m) for k in range((n - 1) // 2)) % fam.m
-    checks = [
-        Check("witness.weight-a", (n - 1) // 2, weight(a, 3, n)),
-        Check("witness.weight-minus-da", (n + 3) // 2, weight(-fam.d * a, 3, n)),
-        Check("witness.weight-sum", n + 1, weight(a, 3, n) + weight(-fam.d * a, 3, n)),
-    ]
-    return WitnessReport(n=n, r=fam.r, d=fam.d, a=a, checks=checks)
+    return sum(pow(3, (2 * fam.r * k) % n, fam.m) for k in range((n - 1) // 2)) % fam.m
 
 
 @dataclass(frozen=True)
@@ -267,21 +233,19 @@ def verify_divisibility(
 
     For every nonzero x mod 3^n - 1: w(x) + w(-d*x) >= n + 1 and
     n + w(d*x) - w(x) > 0, with the first minimum attained exactly at
-    n + 1 (the explicit witness is among the minimizers).  Every nonzero x
-    is one closed walk of length n in the carry graph, of cost
-    n + w(d*x) - w(x), so both extremes and the minimizers come from
-    motif_graph.walk_extremes; no weight table is built.  The ceiling
-    still admits only 3^n <= ceiling.
+    n + 1 (the explicit witness is among the minimizers).  Both extremes
+    and the minimizers come from the closed walks of motif_graph.walk_extremes
+    (the module docstring of motif_graph says why); no weight table is
+    built.  The ceiling still admits only 3^n <= ceiling.
     """
     from . import motif_graph  # motif_graph imports this module
 
     fam = admitted_family(n, ceiling)
     walks = motif_graph.walk_extremes(n)
-    witness = family_witness(n)
     checks = [
         Check("divisibility.min-weight-sum", n + 1, walks.min_weight_sum),
         Check("divisibility.strict-positivity", True, n + walks.min_diff > 0),
-        Check("divisibility.witness-attains", True, witness.a in walks.minimizers),
+        Check("divisibility.witness-attains", True, family_witness(n) in walks.minimizers),
     ]
     return DivisibilityReport(
         n=n, r=fam.r, d=fam.d,

@@ -46,14 +46,7 @@ class FieldError(ValueError):
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    i = 2
-    while i * i <= m:
-        if m % i == 0:
-            return False
-        i += 1
-    return True
+    return m >= 2 and prime_factors(m) == [m]
 
 
 def prime_factors(m: int) -> list[int]:

@@ -22,6 +22,11 @@ residue only for zero (all 0s and all 2s), so each nonzero residue has
 exactly one walk and the zero residue has two: X all 0 with carries 0,
 and X all 2 with carries 2, each of cost n.  There are 3^n closed walks
 of length n in all, the trace of A^n for the adjacency matrix A.
+trace_cycle is the one code that turns a residue into its walk, and the
+rest read the walk: as -d*x has digits Z_j = 2 - Y_j, the motif balance
+2 + 3*C_j = 2*X_j + X_{j-1} + Z_j + C_{j-4} of proof_lab.motif_word is
+the recurrence above, with X_{j-1}, X_j and C_{j-4} read off T_j and C_j
+off T_{j+1}.
 
 The extremes follow.  x = -1 has weight 2n - 1 and d*x = -d has weight
 2n - 3, so some walk costs n - 2; the family witness (digits) costs
@@ -246,18 +251,25 @@ class TraceResult:
 def trace_cycle(n: int, x: int) -> TraceResult:
     """Trace the carry walk of one nonzero residue through the graph.
 
-    Builds X_j = x_{r*j}, the carries C_j of the multiply-by-d
-    recurrence Y_j + 3*C_j = 2*X_j + X_{j-1} + C_{j-4} with Y = d*x
-    (those of digits.family_carries, as -d*x has digits 2 - Y_j: one
-    closed-form carry, then the carry recurrence, O(n) steps in all), and
-    the vertex sequence T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1}),
+    The one derivation of a residue's walk.  Expands x and Y = d*x once,
+    builds X_j = x_{r*j} and the carries C_j = c_{r*j} of 2*x_i + x_{i-r}
+    against the digits of d*x (digits.carry_sequence: one closed-form
+    carry, then the carry recurrence, O(n) steps in all), and the vertex
+    sequence T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1}),
     each step costing 1 + 2*(X_j - C_{j-4}) as edge_cost would read off T_j.
     Asserts that every carry lies in {0,1,2}, that every step is a graph
     edge, and that the total cost equals n + w(d*x) - w(x).
     """
-    fam, x, xd, _, c = digits.family_carries(n, x)
-    X = [xd[(fam.r * j) % n] for j in range(n)]
-    C = [c[(fam.r * j) % n] for j in range(n)]
+    fam = digits.family_params(n)
+    x %= fam.m
+    if x == 0:
+        raise ValueError("x must be a nonzero residue")
+    r = fam.r
+    xd = digits.canonical_digits(x, 3, n)
+    yd = digits.canonical_digits(fam.d * x, 3, n)
+    c = digits.carry_sequence([2 * xd[i] + xd[(i - r) % n] for i in range(n)], yd, 3, n)
+    X = [xd[(r * j) % n] for j in range(n)]
+    C = [c[(r * j) % n] for j in range(n)]
     if any(cj not in (0, 1, 2) for cj in C):
         raise AssertionError(f"carry out of range for x = {x}: {C}")
 
@@ -273,7 +285,7 @@ def trace_cycle(n: int, x: int) -> TraceResult:
         if v not in valid[u]:
             raise AssertionError(f"non-edge step {u} -> {v} for x = {x}")
 
-    expected = n + digits.weight(fam.d * x, 3, n) - digits.weight(x, 3, n)
+    expected = n + sum(yd) - sum(xd)
     if total != expected:
         raise AssertionError(
             f"walk cost {total} != n + w(dx) - w(x) = {expected} for x = {x}"

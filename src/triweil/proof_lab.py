@@ -6,14 +6,12 @@ nine admissible motifs, chains motifs into ten start-to-end sequences,
 and concludes that a doubly-minimal x decomposes into S2/S4 blocks only.
 Everything here is re-derived from the defining constraints.
 
-The final claim is checked at every minimizer.  Each nonzero residue x
-is exactly one closed walk of length n in the carry graph, since its
-carries are unique (the carry lemma) and lie in {0,1,2}; the zero residue
-is two walks (digits all 0 or all 2) of cost n, and neither is extreme.
-The walk cost is n + w(d*x) - w(x) = 3n - (w(x) + w(-d*x)), so the
-weight-sum minimizers are the maximum-cost walks, and w(x) is the sum of
-their xi1 digits (see motif_graph).  The tests hold this walk route equal
-to the exhaustive weight-table scan digits.weight_sums.
+The final claim is checked at every minimizer.  Each nonzero residue is
+one closed walk in the carry graph (the argument is in the motif_graph
+docstring), so the weight-sum minimizers are the maximum-cost walks, and
+a motif word is read off the walk that motif_graph.trace_cycle derives.
+The tests hold this walk route equal to the exhaustive weight-table scan
+digits.weight_sums.
 """
 
 from __future__ import annotations
@@ -292,21 +290,22 @@ def enumerate_sequences() -> tuple[SequencePattern, ...]:
 
 
 def motif_word(n: int, x: int) -> tuple[str, ...]:
-    """The cyclic motif word of a candidate minimizer x (z = -d*x)."""
-    fam, x, xd, zd, c = digits.family_carries(n, x)
-    r = fam.r
+    """The cyclic motif word of a candidate minimizer x (z = -d*x).
+
+    Position j reads X_{j-1}, X_j and C_{j-4} off the walk's vertex T_j
+    and C_j off T_{j+1}; the balance 2 + 3*C_j = 2*X_j + X_{j-1} + Z_j +
+    C_{j-4} gives Z_j.
+    """
+    trace = motif_graph.trace_cycle(n, x)
+    T = [motif_graph.vertex_tuple(v) for v in trace.walk]
     word = []
     for j in range(n):
-        values = (
-            xd[(r * (j - 1)) % n],
-            xd[(r * j) % n],
-            zd[(r * j) % n],
-            c[(r * (j - 4)) % n],
-            c[(r * j) % n],
-        )
+        x_prev, x_j, c_in = T[j][:3]
+        c_out = T[(j + 1) % n][5]
+        values = (x_prev, x_j, 2 + 3 * c_out - 2 * x_j - x_prev - c_in, c_in, c_out)
         motif = _MOTIF_BY_VALUES.get(values)
         if motif is None:
-            raise AssertionError(f"position {j} of x = {x} is no motif: {values}")
+            raise AssertionError(f"position {j} of x = {trace.x} is no motif: {values}")
         word.append(motif.name)
     return tuple(word)
 
@@ -344,10 +343,11 @@ def check_minimizer_structure(n: int, *, ceiling: int | None = None) -> Minimize
     """Check the final structure claim at every minimizer.
 
     Finds every nonzero x minimizing w(x) + w(-d*x), as the maximum-cost
-    closed walks of motif_graph.walk_extremes, restricts to those with
-    minimal w(x), and checks that each decomposes into S2/S4 blocks with
-    w(x) = k = (n-1)/2 and w(x) + w(z) = 2n - 2k = n + 1.  The ceiling
-    still admits only 3^n <= ceiling.
+    closed walks of motif_graph.walk_extremes (the motif_graph docstring
+    says why), restricts to those with minimal w(x), and checks that each
+    decomposes into S2/S4 blocks with w(x) = k = (n-1)/2 and
+    w(x) + w(z) = 2n - 2k = n + 1.  The ceiling still admits only
+    3^n <= ceiling.
     """
     fam = digits.admitted_family(n, ceiling)
     walks = motif_graph.walk_extremes(n)
@@ -365,13 +365,12 @@ def check_minimizer_structure(n: int, *, ceiling: int | None = None) -> Minimize
         else:
             s4_counts.add(blocks["S4"])
 
-    witness = digits.family_witness(n)
     checks = [
         Check("minimizer.weight-sum", n + 1, min_sum),
         Check("minimizer.k", (n - 1) // 2, k),
         Check("minimizer.s2-s4-only", [], bad_words),
         Check("minimizer.s4-count", {k}, s4_counts),
-        Check("minimizer.witness-doubly-minimal", True, witness.a in doubly),
+        Check("minimizer.witness-doubly-minimal", True, digits.family_witness(n) in doubly),
     ]
     return MinimizerReport(
         n=n, r=fam.r, d=fam.d, k=k,

@@ -16,6 +16,11 @@
 - closed_form_carries: every carry of the carry lemma from its own closed
   form, O(n) big-integer terms per carry, the oracle for
   digits.carry_sequence (one closed form, then the recurrence).
+- family_carries_oracle: the digits of a family residue x and of -d*x by
+  repeated division, and the closed-form carries of 2*x_i + x_{i-r} + z_i
+  against the all-2 string; the tests rebuild from them the walks of
+  motif_graph.trace_cycle (which carries against the digits of d*x) and
+  the motif words of proof_lab.motif_word.
 """
 
 from __future__ import annotations
@@ -183,3 +188,23 @@ def closed_form_carries(s, t, b: int, n: int) -> list[int]:
     if (b - 1) * sum(c) != sum(s) - sum(t):
         raise AssertionError("carries do not sum to the weight difference")
     return c
+
+
+def ternary(x: int, n: int) -> list[int]:
+    """The n base-3 digits of x mod 3^n - 1, little-endian, by division."""
+    x %= 3**n - 1
+    out = []
+    for _ in range(n):
+        x, digit = divmod(x, 3)
+        out.append(digit)
+    return out
+
+
+def family_carries_oracle(n: int, x: int) -> tuple[list[int], list[int], list[int]]:
+    """(digits of x, digits of z = -d*x, carries) at odd n, r = 4^-1 mod n,
+    d = 3^r + 2: the closed-form carries of 2*x_i + x_{i-r} + z_i against
+    the all-2 string, the digits of the zero residue."""
+    r = pow(4, -1, n)
+    xd, zd = ternary(x, n), ternary(-(3**r + 2) * x, n)
+    s = [2 * xd[i] + xd[(i - r) % n] + zd[i] for i in range(n)]
+    return xd, zd, closed_form_carries(s, [2] * n, 3, n)

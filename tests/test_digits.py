@@ -1,5 +1,7 @@
 """Digit weights, the carry lemma, and the divisibility bound."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from triweil.digits import (
     CarryError,
     canonical_digits,
     carry_sequence,
-    family_carries,
     family_params,
     family_witness,
     stickelberger_bound,
@@ -19,7 +20,7 @@ from triweil.digits import (
     weight,
     weight_table,
 )
-from triweil.ff import digits_code
+from triweil.ff import FieldError, digits_code
 
 
 def test_weight_basics():
@@ -170,16 +171,6 @@ def test_stickelberger_wide_digits(d):
     assert rep.alt_form_equal
 
 
-@pytest.mark.parametrize("n", [5, 7])
-def test_family_carries_match_multiply_by_d(n):
-    # carries against the all-2 string equal those of 2x_i + x_{i-r} against d*x
-    fam = family_params(n)
-    for x in range(1, fam.m):
-        _, _, xd, _, c = family_carries(n, x)
-        s = [2 * xd[i] + xd[(i - fam.r) % n] for i in range(n)]
-        assert c == carry_sequence(s, canonical_digits(fam.d * x, 3, n), 3, n)
-
-
 def test_stickelberger_identity_exponent():
     rep = stickelberger_bound(3, 5, 1)
     assert rep.m == 2 * 5  # w(j) + w(-j) = (p-1)n for every nonzero j
@@ -190,12 +181,22 @@ def test_stickelberger_rejects_noncoprime():
         stickelberger_bound(3, 5, 22)  # gcd(22, 242) = 22
 
 
+def test_stickelberger_refuses_huge_n_at_once():
+    # the ceiling is decided before p^n - 1 and its gcd with d are built
+    t0 = time.perf_counter()
+    with pytest.raises(FieldError, match="exceeds"):
+        stickelberger_bound(3, 10**7 + 1, 5)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_family_witness_reports():
     for n, wa, wda in [(5, 2, 4), (7, 3, 5), (9, 4, 6)]:
-        rep = family_witness(n)
-        assert rep.passed, [c.line() for c in rep.checks if not c.ok]
-        assert weight(rep.a, 3, n) == wa
-        assert weight(-rep.d * rep.a, 3, n) == wda
+        a = family_witness(n)
+        d = family_params(n).d
+        assert (wa, wda) == ((n - 1) // 2, (n + 3) // 2)
+        assert weight(a, 3, n) == wa
+        assert weight(-d * a, 3, n) == wda
+        assert wa + wda == n + 1
 
 
 def test_verify_divisibility_small():

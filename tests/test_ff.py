@@ -26,6 +26,11 @@ def tpow(ctx, x, e):
     return int(ctx.exp[ctx.log[x] * e % (ctx.q - 1)])
 
 
+def test_is_prime_matches_sympy():
+    for m in range(5001):
+        assert ff.is_prime(m) == sympy.isprime(m), m
+
+
 def sympy_irreducible(mod, p):
     return sympy.Poly(list(reversed(mod)), sympy.symbols("x"), modulus=p).is_irreducible
 

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from oracles import closed_form_carries, min_short_cycle_cost
+from oracles import family_carries_oracle, min_short_cycle_cost, ternary
 
 from triweil import digits, proof_lab
 from triweil.motif_graph import (
@@ -126,30 +126,18 @@ def test_trace_cycle_sampled_n9_n11():
             assert out.cost > 0 and out.cost % 2 == 1
 
 
-def _ternary(x: int, n: int) -> list[int]:
-    """The n base-3 digits of x mod 3^n - 1, little-endian, by division."""
-    x %= 3**n - 1
-    out = []
-    for _ in range(n):
-        x, digit = divmod(x, 3)
-        out.append(digit)
-    return out
-
-
 def _oracle_walk(n: int, x: int) -> tuple[tuple[int, ...], int]:
     """The walk of x and its cost, from the closed-form carries of
     2*x_i + x_{i-r} + z_i against the all-2 string (z = -d*x)."""
     fam = digits.family_params(n)
-    xd, zd = _ternary(x, n), _ternary(-fam.d * x, n)
-    s = [2 * xd[i] + xd[(i - fam.r) % n] + zd[i] for i in range(n)]
-    c = closed_form_carries(s, [2] * n, 3, n)
+    xd, _, c = family_carries_oracle(n, x)
     X = [xd[(fam.r * j) % n] for j in range(n)]
     C = [c[(fam.r * j) % n] for j in range(n)]
     walk = tuple(
         vertex_id((X[j - 1], X[j], *(C[(j + k) % n] for k in (-4, -3, -2, -1))))
         for j in range(n)
     )
-    return walk, n + sum(_ternary(fam.d * x, n)) - sum(xd)
+    return walk, n + sum(ternary(fam.d * x, n)) - sum(xd)
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -177,7 +165,7 @@ def test_trace_cycle_at_n_1001():
         x = rng.randrange(1, m)
         out = trace_cycle(n, x)
         assert len(out.walk) == n and all(0 <= v < 729 for v in out.walk)
-        assert out.cost == n + sum(_ternary(d * x, n)) - sum(_ternary(x, n))
+        assert out.cost == n + sum(ternary(d * x, n)) - sum(ternary(x, n))
 
 
 def test_trace_cycle_rejects_zero_and_even_n():

@@ -4,6 +4,7 @@ minimizer-structure check."""
 import random
 
 import pytest
+from oracles import family_carries_oracle
 
 from triweil.digits import family_witness, weight
 from triweil.proof_lab import (
@@ -124,7 +125,7 @@ def test_minimizer_structure(n):
 
 def test_witness_word_decomposes():
     for n in (5, 7, 9):
-        a = family_witness(n).a
+        a = family_witness(n)
         word = motif_word(n, a)
         blocks = decompose_s2_s4(word)
         assert blocks is not None
@@ -134,3 +135,37 @@ def test_witness_word_decomposes():
 def test_motif_word_rejects_zero():
     with pytest.raises(ValueError):
         motif_word(5, 0)
+
+
+def _oracle_word(n: int, x: int) -> tuple[str, ...]:
+    """The motif word of x from the closed-form carries of
+    2*x_i + x_{i-r} + z_i against the all-2 string (z = -d*x)."""
+    r = pow(4, -1, n)
+    xd, zd, c = family_carries_oracle(n, x)
+    names = {m.values: m.name for m in MOTIF_TABLE}
+    word = []
+    for j in range(n):
+        values = (
+            xd[r * (j - 1) % n], xd[r * j % n], zd[r * j % n], c[r * (j - 4) % n], c[r * j % n]
+        )
+        if values not in names:
+            raise AssertionError(f"position {j} of x = {x} is no motif: {values}")
+        word.append(names[values])
+    return tuple(word)
+
+
+def _word_or_raise(f, n: int, x: int):
+    try:
+        return f(n, x)
+    except AssertionError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_motif_word_matches_oracle_carries_exhaustive(n):
+    words = 0
+    for x in range(1, 3**n - 1):
+        got = _word_or_raise(motif_word, n, x)
+        assert got == _word_or_raise(_oracle_word, n, x), x
+        words += isinstance(got, tuple)
+    assert words > 0  # some residues do have a motif word
