@@ -46,7 +46,9 @@ class FieldError(ValueError):
 
 
 def is_prime(m: int) -> bool:
-    return m >= 2 and prime_factors(m) == [m]
+    # stops at the first divisor, so a composite m with a small factor is
+    # refused at once, however large its cofactor
+    return m >= 2 and all(m % i for i in range(2, math.isqrt(m) + 1))
 
 
 def prime_factors(m: int) -> list[int]:

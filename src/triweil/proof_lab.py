@@ -296,7 +296,7 @@ def motif_word(n: int, x: int) -> tuple[str, ...]:
     and C_j off T_{j+1}; the balance 2 + 3*C_j = 2*X_j + X_{j-1} + Z_j +
     C_{j-4} gives Z_j.
     """
-    trace = motif_graph.trace_cycle(n, x)
+    trace = motif_graph._trace(n, x)
     T = [motif_graph.vertex_tuple(v) for v in trace.walk]
     word = []
     for j in range(n):

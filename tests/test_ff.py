@@ -3,6 +3,7 @@ independent polynomial-arithmetic field of tests/oracles.py and sympy."""
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def tpow(ctx, x, e):
 def test_is_prime_matches_sympy():
     for m in range(5001):
         assert ff.is_prime(m) == sympy.isprime(m), m
+
+
+def test_composite_p_with_large_cofactor_is_refused_at_once():
+    # 2 * (10^18 + 3): trial division stops at 2 instead of running to the
+    # square root of the prime cofactor
+    t0 = time.perf_counter()
+    with pytest.raises(FieldError, match="not prime"):
+        build_field(2 * (10**18 + 3), 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def sympy_irreducible(mod, p):
