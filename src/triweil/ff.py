@@ -281,11 +281,12 @@ def build_field(p: int, n: int, *, ceiling: int | None = None) -> FieldCtx:
     the smallest code.  Both choices only affect internal representation:
     spectra, counts and weights are representation-independent.
     """
+    if n < 1:  # first: p^n has no value at p = 0, n < 0
+        raise FieldError(f"extension degree must be >= 1, got {n}")
+    if p >= 2:  # before trial division, which runs to sqrt(p) for a prime p
+        check_ceiling(p, n, ceiling)
     if not is_prime(p):
         raise FieldError(f"p = {p} is not prime")
-    if n < 1:
-        raise FieldError(f"extension degree must be >= 1, got {n}")
-    check_ceiling(p, n, ceiling)
     return _build_field(p, n)
 
 

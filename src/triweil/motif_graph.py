@@ -4,8 +4,11 @@ Vertices are sextuples (xi0, xi1, g0, g1, g2, g3) in {0,1,2}^6, packed
 into ids 0..728 base 3 with xi0 most significant.  There is an edge to
 (xi0', xi1', g0', g1', g2', g3') iff xi0' = xi1, the g-window shifts,
 and g3' = floor((xi0 + 2*xi1 + g0)/3); xi1' is free, so every vertex has
-out-degree 3 and the graph has 2187 edges.  Edge cost is
-1 + 2*(xi1 - g0).
+out-degree 3 and the graph has 2187 edges.  Every edge out of a vertex
+costs the same, so the graph is held as a successor table, succ (vertex
+-> its three successors, ascending), and one cost per vertex, cost (the
+cost of every edge leaving it); build_graph writes the cost rule, and
+every reader reads these two tables.
 
 Walks and residues.  Fix odd n, r = 4^-1 mod n and d = 3^r + 2, and
 write X_j = x_{r*j} for the digits of a residue x mod 3^n - 1.  Then
@@ -74,37 +77,25 @@ def vertex_tuple(vid: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CostGraph:
-    num_vertices: int
-    edges: tuple[tuple[int, int, int], ...]  # (source, target, cost)
-
-    def successors(self) -> list[list[tuple[int, int]]]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
-        for u, v, c in self.edges:
-            adj[u].append((v, c))
-        return adj
-
-
-def edge_cost(u: int) -> int:
-    xi0, xi1, g0, g1, g2, g3 = vertex_tuple(u)
-    return 1 + 2 * (xi1 - g0)
+    succ: tuple[tuple[int, ...], ...]  # vertex -> its successors, ascending
+    cost: tuple[int, ...]  # vertex -> the cost of every edge leaving it
 
 
 @functools.cache
 def build_graph() -> CostGraph:
-    """The full carry-propagation graph, edges sorted by (source, target).
+    """The full carry-propagation graph.
 
-    Built once per process; the graph and its edge tuple are immutable.
+    Built once per process; the graph and its tables are immutable.
     """
-    edges = []
+    succ = []
+    cost = []
     for u in range(NUM_VERTICES):
         xi0, xi1, g0, g1, g2, g3 = vertex_tuple(u)
         g3_next = (xi0 + 2 * xi1 + g0) // 3
-        cost = edge_cost(u)
-        for xi1_next in range(3):
-            v = vertex_id((xi1, xi1_next, g1, g2, g3, g3_next))
-            edges.append((u, v, cost))
-    edges.sort()
-    return CostGraph(num_vertices=NUM_VERTICES, edges=tuple(edges))
+        # xi1' is the second digit of the successor's id, so these ascend
+        succ.append(tuple(vertex_id((xi1, k, g1, g2, g3, g3_next)) for k in range(3)))
+        cost.append(1 + 2 * (xi1 - g0))
+    return CostGraph(succ=tuple(succ), cost=tuple(cost))
 
 
 @dataclass(frozen=True)
@@ -120,8 +111,8 @@ class SCCReport:
 
 def tarjan_scc(g: CostGraph) -> SCCReport:
     """Iterative Tarjan; components are numbered in discovery order."""
-    adj = g.successors()
-    n = g.num_vertices
+    adj = g.succ
+    n = len(adj)
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -144,7 +135,7 @@ def tarjan_scc(g: CostGraph) -> SCCReport:
                 on_stack[v] = True
             advanced = False
             while pi < len(adj[v]):
-                w = adj[v][pi][0]
+                w = adj[v][pi]
                 pi += 1
                 if index[w] == -1:
                     work[-1] = (v, pi)
@@ -171,11 +162,10 @@ def tarjan_scc(g: CostGraph) -> SCCReport:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
 
-    self_loops = {u for u, v, _ in g.edges if u == v}
     nontrivial = tuple(
         tuple(sorted(members))
         for members in components
-        if len(members) > 1 or members[0] in self_loops
+        if len(members) > 1 or members[0] in adj[members[0]]
     )
     return SCCReport(
         component_of=tuple(comp),
@@ -199,7 +189,7 @@ def find_negative_cycle(g: CostGraph, vertices) -> list[int] | None:
     vertex list, or None.
     """
     vset = set(vertices)
-    sub = [(u, v, c) for u, v, c in g.edges if u in vset and v in vset]
+    sub = [(u, v, g.cost[u]) for u in sorted(vset) for v in g.succ[u] if v in vset]
     if not sub:
         return None
     source = next(iter(vset))
@@ -232,11 +222,13 @@ def find_negative_cycle(g: CostGraph, vertices) -> list[int] | None:
 
 
 def cycle_cost(g: CostGraph, cycle: list[int]) -> int:
-    cost_of = {(u, v): c for u, v, c in g.edges}
+    """The cost of the closed walk through cycle; KeyError on a non-edge."""
     total = 0
     for i, u in enumerate(cycle):
         v = cycle[(i + 1) % len(cycle)]
-        total += cost_of[(u, v)]
+        if v not in g.succ[u]:
+            raise KeyError((u, v))
+        total += g.cost[u]
     return total
 
 
@@ -256,7 +248,7 @@ def trace_cycle(n: int, x: int) -> TraceResult:
     against the digits of d*x (digits.carry_sequence: one closed-form
     carry, then the carry recurrence, O(n) steps in all), and the vertex
     sequence T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1}),
-    each step costing 1 + 2*(X_j - C_{j-4}) as edge_cost would read off T_j.
+    each step costing 1 + 2*(X_j - C_{j-4}).
     Asserts that every carry lies in {0,1,2}, that every step is a graph
     edge, and that the total cost equals n + w(d*x) - w(x).
     """
@@ -280,17 +272,16 @@ def _trace(n: int, x: int) -> TraceResult:
     if any(cj not in (0, 1, 2) for cj in C):
         raise AssertionError(f"carry out of range for x = {x}: {C}")
 
-    walk = []
-    total = 0
-    for j in range(n):
-        g0 = C[(j - 4) % n]
-        walk.append(vertex_id((X[j - 1], X[j], g0, C[(j - 3) % n], C[(j - 2) % n], C[j - 1])))
-        total += 1 + 2 * (X[j] - g0)
-    valid = _edge_targets()
+    walk = [
+        vertex_id((X[j - 1], X[j], C[(j - 4) % n], C[(j - 3) % n], C[(j - 2) % n], C[j - 1]))
+        for j in range(n)
+    ]
+    g = build_graph()
     for j in range(n):
         u, v = walk[j], walk[(j + 1) % n]
-        if v not in valid[u]:
+        if v not in g.succ[u]:
             raise AssertionError(f"non-edge step {u} -> {v} for x = {x}")
+    total = sum(g.cost[u] for u in walk)
 
     expected = n + sum(yd) - sum(xd)
     if total != expected:
@@ -298,14 +289,6 @@ def _trace(n: int, x: int) -> TraceResult:
             f"walk cost {total} != n + w(dx) - w(x) = {expected} for x = {x}"
         )
     return TraceResult(n=n, x=x, walk=tuple(walk), cost=total)
-
-
-@functools.cache
-def _edge_targets() -> tuple[frozenset[int], ...]:
-    targets: list[set[int]] = [set() for _ in range(NUM_VERTICES)]
-    for u, v, _ in build_graph().edges:
-        targets[u].add(v)
-    return tuple(map(frozenset, targets))
 
 
 @dataclass(frozen=True)
@@ -329,13 +312,14 @@ def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     members = [v for comp in scc.nontrivial for v in comp]
     local = {v: i for i, v in enumerate(members)}
     preds: list[list[int]] = [[] for _ in members]
-    for u, v, _ in g.edges:
-        if u in local and v in local and scc.component_of[u] == scc.component_of[v]:
-            preds[local[v]].append(local[u])
+    for u in members:
+        for v in g.succ[u]:
+            if scc.component_of[u] == scc.component_of[v]:
+                preds[local[v]].append(local[u])
     pred = np.full((len(members), max(map(len, preds))), len(members), dtype=np.intp)
     for i, p in enumerate(preds):
         pred[i, : len(p)] = p
-    cost = np.array([edge_cost(v) for v in members] + [0], dtype=np.int32)
+    cost = np.array([g.cost[v] for v in members] + [0], dtype=np.int32)
     xi1 = np.array([vertex_tuple(v)[1] for v in members], dtype=np.int8)
     return pred, cost, xi1
 
@@ -446,17 +430,18 @@ def graph_report() -> GraphReport:
             neg = tuple(cyc)
             break
 
+    num_vertices, num_edges = len(g.succ), sum(map(len, g.succ))
     checks = [
-        Check("graph.vertices", 729, g.num_vertices),
-        Check("graph.edges", 2187, len(g.edges)),
+        Check("graph.vertices", 729, num_vertices),
+        Check("graph.edges", 2187, num_edges),
         Check("graph.scc-count", 258, scc.num_components),
         Check("graph.nontrivial-sizes", (471, 2), sizes),
         Check("graph.pair-members", tuple(sorted(PAIR_VERTICES)), tuple(sorted(pair_tuples))),
         Check("graph.negative-cycle", None, neg),
     ]
     return GraphReport(
-        num_vertices=g.num_vertices,
-        num_edges=len(g.edges),
+        num_vertices=num_vertices,
+        num_edges=num_edges,
         num_components=scc.num_components,
         nontrivial_sizes=sizes,
         pair_component=pair_tuples,

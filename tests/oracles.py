@@ -145,10 +145,7 @@ def min_short_cycle_cost(g, vertices, max_len: int = 8) -> int | None:
     cycle is counted at its lexicographically smallest starting vertex.
     """
     vset = set(vertices)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vset}
-    for u, v, c in g.edges:
-        if u in vset and v in vset:
-            adj[u].append((v, c))
+    adj = {u: [(v, g.cost[u]) for v in g.succ[u] if v in vset] for u in vset}
     best: int | None = None
     for start in sorted(vset):
         # DFS over paths from start that avoid vertices below start

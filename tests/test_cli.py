@@ -161,6 +161,25 @@ def test_bad_field_degree_is_usage_error(capsys, p, n):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_large_prime_p_over_ceiling_is_refused_at_once():
+    # the ceiling is checked before is_prime, whose trial division would run
+    # to sqrt(p) ~ 10^9 for this prime p
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("TRIWEIL_CEILING", None)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "triweil.cli", "spectrum", "--p", "1000000000000000003",
+         "--n", "1", "--d", "5"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: q = 1000000000000000003^1 = ~10^18 exceeds the table ceiling "
+    )
+    assert proc.stderr.count("\n") == 1
+
+
 def test_huge_field_message_is_one_line(capsys):
     # the table memory of q = 2^2000 is stated exactly, not through a float
     assert main(["spectrum", "--p", "2", "--n", "2000", "--d", "3"]) == 2

@@ -34,10 +34,21 @@ def test_is_prime_matches_sympy():
 
 def test_composite_p_with_large_cofactor_is_refused_at_once():
     # 2 * (10^18 + 3): trial division stops at 2 instead of running to the
-    # square root of the prime cofactor
+    # square root of the prime cofactor; the ceiling admits q, so the
+    # refusal comes from is_prime
     t0 = time.perf_counter()
     with pytest.raises(FieldError, match="not prime"):
-        build_field(2 * (10**18 + 3), 1)
+        build_field(2 * (10**18 + 3), 1, ceiling=10**19)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_p_below_2_is_refused_before_its_power_is_built():
+    # the ceiling check computes p^n exactly for p < 2, so such a p is
+    # refused as not prime without it: (-3)^(10^9) is a 200 MB integer
+    t0 = time.perf_counter()
+    for p in (-3, -2, 0, 1):
+        with pytest.raises(FieldError, match="not prime"):
+            build_field(p, 10**9)
     assert time.perf_counter() - t0 < 1.0
 
 

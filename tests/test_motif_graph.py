@@ -14,7 +14,6 @@ from triweil.motif_graph import (
     PAIR_VERTICES,
     build_graph,
     cycle_cost,
-    edge_cost,
     find_negative_cycle,
     graph_report,
     tarjan_scc,
@@ -33,28 +32,28 @@ def test_vertex_encoding_roundtrip():
 
 def test_graph_size_and_degrees():
     g = build_graph()
-    assert g.num_vertices == 729
-    assert len(g.edges) == 2187
-    degrees = [len(s) for s in g.successors()]
+    assert len(g.succ) == len(g.cost) == 729
+    assert sum(map(len, g.succ)) == 2187
+    degrees = [len(set(s)) for s in g.succ]
     assert degrees == [3] * 729
+    assert all(list(s) == sorted(s) for s in g.succ)
 
 
 def test_origin_successors():
     g = build_graph()
-    succ = {v for u, v, _ in g.edges if u == vertex_id((0, 0, 0, 0, 0, 0))}
+    succ = set(g.succ[vertex_id((0, 0, 0, 0, 0, 0))])
     assert succ == {vertex_id((0, k, 0, 0, 0, 0)) for k in range(3)}
 
 
 def test_published_pair_edge_exists():
     g = build_graph()
     u, v = (vertex_id(t) for t in PAIR_VERTICES)
-    pairs = {(a, b) for a, b, _ in g.edges}
-    assert (u, v) in pairs and (v, u) in pairs
+    assert v in g.succ[u] and u in g.succ[v]
 
 
 def test_edge_costs_range():
     g = build_graph()
-    assert {c for _, _, c in g.edges} <= {-3, -1, 1, 3, 5}
+    assert set(g.cost) <= {-3, -1, 1, 3, 5}
 
 
 def test_scc_decomposition():
@@ -91,10 +90,37 @@ def test_short_cycle_oracle_backs_bellman_ford():
 
 
 def test_bellman_ford_finds_synthetic_negative_cycle():
-    g = CostGraph(num_vertices=2, edges=((0, 1, -1), (1, 0, -1)))
+    g = CostGraph(succ=((1,), (0,)), cost=(-1, -1))
     cyc = find_negative_cycle(g, [0, 1])
     assert cyc is not None
     assert cycle_cost(g, cyc) < 0
+
+
+def test_tarjan_singleton_is_nontrivial_only_with_a_self_loop():
+    # the carry graph's self-loop vertices (0, 364, 728) all sit in the
+    # 471-vertex component, so only a synthetic graph reaches this branch
+    g = CostGraph(succ=((0,), (0,)), cost=(1, 1))
+    scc = tarjan_scc(g)
+    assert scc.num_components == 2 and scc.sizes == (1, 1)
+    assert scc.nontrivial == ((0,),)
+
+
+def test_bellman_ford_reads_only_the_given_vertices():
+    # a negative 2-cycle on {0, 1}, a nonnegative one on {2, 3}, and 1 -> 2
+    g = CostGraph(succ=((1,), (0, 2), (3,), (2,)), cost=(-1, -1, 0, 1))
+    assert find_negative_cycle(g, [2, 3]) is None
+    cyc = find_negative_cycle(g, [0, 1, 2, 3])
+    assert cyc is not None and set(cyc) == {0, 1}
+    assert cycle_cost(g, cyc) == -2
+
+
+def test_cycle_cost_raises_on_a_non_edge():
+    g = CostGraph(succ=((1,), (0,)), cost=(-1, -1))
+    assert cycle_cost(g, [0, 1]) == -2
+    with pytest.raises(KeyError):
+        cycle_cost(g, [0, 0])
+    with pytest.raises(KeyError):
+        cycle_cost(build_graph(), [0, 1])
 
 
 def test_trace_cycle_unit_example():
@@ -184,9 +210,12 @@ def test_graph_report_passes():
 def test_graph_is_built_once_and_immutable():
     g = build_graph()
     assert build_graph() is g
-    assert isinstance(g.edges, tuple)
+    assert isinstance(g.succ, tuple) and all(isinstance(s, tuple) for s in g.succ)
+    assert isinstance(g.cost, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        g.edges = ()
+        g.succ = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.cost = ()
     assert graph_report() == graph_report()
 
 
@@ -225,8 +254,9 @@ def test_closed_walks_number_3_to_the_n():
     # products are exact here: every entry of A^k is at most 3^k < 2^53.
     g = build_graph()
     A = np.zeros((729, 729))
-    for u, v, _ in g.edges:
-        A[u, v] += 1
+    for u, targets in enumerate(g.succ):
+        for v in targets:
+            A[u, v] += 1
     power = A
     for n in range(2, 12):
         power = power @ A
@@ -237,10 +267,11 @@ def test_closed_walks_number_3_to_the_n():
 def test_zero_residue_walks_cost_n():
     # X all 0 with carries 0, and X all 2 with carries 2: self-loops of cost 1,
     # so each closed walk of n loops costs n
-    loops = {u for u, v, _ in build_graph().edges if u == v}
+    g = build_graph()
+    loops = {u for u, targets in enumerate(g.succ) if u in targets}
     for digit in (0, 2):
         v = vertex_id((digit,) * 6)
-        assert v in loops and edge_cost(v) == 1
+        assert v in loops and g.cost[v] == 1
     for n in range(3, 16, 2):
         ext = walk_extremes(n)
         # neither zero walk is extreme: least cost < n < largest cost

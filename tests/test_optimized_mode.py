@@ -27,6 +27,7 @@ def test_report_under_optimize_matches_golden():
         (("divisibility", "--n", "7"), "divisibility_n_7.json"),
         (("proof-check", "--n", "7"), "proof-check_n_7.json"),
         (("kernel", "--n", "7", "--r", "2"), "kernel_n_7_r_2.json"),
+        (("graph-verify",), "graph-verify.json"),
     ]:
         out = subprocess.run(
             [sys.executable, "-O", "-m", "triweil.cli", "--json", *argv],
