@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import check_ceiling, code_digits
+from .ff import FieldError, check_ceiling, code_digits
 from .report import Check, Verdict
 
 
@@ -160,6 +160,8 @@ def weight_sums(
     the walk route of motif_graph gives the same numbers without a table,
     and the tests hold the two equal.
     """
+    if p < 2:  # before the ceiling, whose exact test needs p >= 0
+        raise FieldError(f"p = {p} is not prime")
     # the weight table and its int64 index d*j mod m; refused before p^n is built
     check_ceiling(p, n, ceiling, entry_bytes=_weight_dtype(p, n).itemsize + 8)
     m = p**n - 1
@@ -234,9 +236,10 @@ def verify_divisibility(
     For every nonzero x mod 3^n - 1: w(x) + w(-d*x) >= n + 1 and
     n + w(d*x) - w(x) > 0, with the first minimum attained exactly at
     n + 1 (the explicit witness is among the minimizers).  Both extremes
-    and the minimizers come from the closed walks of motif_graph.walk_extremes
-    (the module docstring of motif_graph says why); no weight table is
-    built.  The ceiling still admits only 3^n <= ceiling.
+    and the minimizers come from motif_graph.walk_extremes: one max-plus
+    DP over closed walks gives the largest walk cost, and the graph's
+    cost mirror the least (the motif_graph docstring says why).  No
+    weight table is built.  The ceiling still admits only 3^n <= ceiling.
     """
     from . import motif_graph  # motif_graph imports this module
 

@@ -210,15 +210,11 @@ _NEAR = 20  # _stated computes a value exactly when its log10 is within 10^-_NEA
 
 
 def power_exceeds(p: int, n: int, limit: int) -> bool:
-    """p^n > limit, decided from logarithms; p^n is computed only when they
-    are too close to call, and then it is about the size of limit."""
-    if p < 2 or n < 1:
-        return p**n > limit
-    if limit < 2:
+    """p^n > limit for p >= 0, in exact integers: p^n >= 2^(n*(b-1)) for
+    the bit length b of p decides a p^n far above limit at once, and any
+    other p^n has at most about twice the bits of limit."""
+    if n * (p.bit_length() - 1) > limit.bit_length():
         return True
-    a, b = n * math.log(p), math.log(limit)
-    if abs(a - b) > 1e-9 * (a + b + 1):  # far beyond the float error of either
-        return a > b
     return p**n > limit
 
 
@@ -258,9 +254,9 @@ def check_ceiling(
     sizes the message, which states the memory the tables would take;
     None means the caller builds no q-sized table, and the message names
     none.  A q or a memory figure of 19 digits or more is stated as ~10^k.
-    Neither the decision nor the message builds p^n unless it is close
-    to the ceiling or to a power of ten, so a refusal costs no time at
-    any n.
+    The decision builds p^n only when it has at most about twice the
+    bits of the ceiling, and the message only when it is close to the
+    ceiling or to a power of ten, so a refusal costs no time at any n.
     """
     limit = ceiling if ceiling is not None else default_ceiling()
     if power_exceeds(p, n, limit):

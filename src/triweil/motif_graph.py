@@ -35,12 +35,18 @@ The extremes follow.  x = -1 has weight 2n - 1 and d*x = -d has weight
 2n - 3, so some walk costs n - 2; the family witness (digits) costs
 2n - 1.  Neither zero walk is therefore extreme, and the least and
 largest walk costs are n + min w(d*x) - w(x) and, since w(-y) = 2n - w(y)
-for nonzero y, 3n - min (w(x) + w(-d*x)), both over nonzero x.
-walk_extremes finds both by a max-plus dynamic program over walks of n
-steps that stay in the two nontrivial components (a closed walk never
-leaves its component), then backtracks the maximum-cost walks into the
-weight-sum minimizers.  No table of 3^n entries is built; the
-exhaustive digit-weight scan (digits.weight_sums) is the tests' oracle.
+for nonzero y, 3n - min (w(x) + w(-d*x)), both over nonzero x.  The
+graph is its own cost mirror: tau(v) = 728 - v complements every digit,
+which turns xi0 + 2*xi1 + g0 into 8 minus itself and so the carry g3'
+into 2 - g3'; it maps edges to edges, and cost(tau u) = 2 - cost(u).  It
+sends each closed walk of length n and cost c to one of cost 2n - c (the
+walk of x to that of -x), so the least walk cost is 2n minus the largest.
+walk_extremes finds the largest by one max-plus dynamic program along
+the successor table, over walks of n steps in the two nontrivial
+components (a closed walk never leaves its component), then follows
+tight successors forward into the weight-sum minimizers.  No table of
+3^n entries is built; the exhaustive digit-weight scan
+(digits.weight_sums) is the tests' oracle.
 
 Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
@@ -100,7 +106,6 @@ def build_graph() -> CostGraph:
 
 @dataclass(frozen=True)
 class SCCReport:
-    component_of: tuple[int, ...]  # vertex -> component id
     sizes: tuple[int, ...]  # component id -> size
     nontrivial: tuple[tuple[int, ...], ...]  # members of size>1 or self-loop comps
 
@@ -116,10 +121,8 @@ def tarjan_scc(g: CostGraph) -> SCCReport:
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
-    comp = [-1] * n
     stack: list[int] = []
     counter = 0
-    num_comps = 0
     components: list[list[int]] = []
 
     for root in range(n):
@@ -152,12 +155,10 @@ def tarjan_scc(g: CostGraph) -> SCCReport:
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
-                    comp[w] = num_comps
                     members.append(w)
                     if w == v:
                         break
                 components.append(members)
-                num_comps += 1
             if work:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
@@ -168,7 +169,6 @@ def tarjan_scc(g: CostGraph) -> SCCReport:
         if len(members) > 1 or members[0] in adj[members[0]]
     )
     return SCCReport(
-        component_of=tuple(comp),
         sizes=tuple(len(m) for m in components),
         nontrivial=nontrivial,
     )
@@ -296,99 +296,96 @@ class WalkExtremes:
     """The family's weight extremes over nonzero x, read off the closed
     walks of length n, and the residues of the largest-cost walks."""
 
-    min_diff: int  # min w(d*x) - w(x): the least walk cost minus n
+    min_diff: int  # min w(d*x) - w(x): the least walk cost (2n minus the largest) minus n
     min_weight_sum: int  # min w(x) + w(-d*x): 3n minus the largest walk cost
     minimizers: tuple[int, ...]  # every x attaining min_weight_sum, ascending
     weights: tuple[int, ...]  # w(x) of each minimizer
 
 
+def _check_cost_mirror(g: CostGraph) -> None:
+    """Raise AssertionError unless tau(v) = 728 - v maps the edges out of
+    each u onto those out of tau(u), with cost(tau u) = 2 - cost(u)."""
+    top = len(g.succ) - 1
+    for u, targets in enumerate(g.succ):
+        mirror = (tuple(top - v for v in reversed(targets)), 2 - g.cost[u])
+        if (g.succ[top - u], g.cost[top - u]) != mirror:
+            raise AssertionError(f"tau = {top} - v is no cost mirror at vertex {u}")
+
+
 @functools.cache
 def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The vertices of the nontrivial components, renumbered 0..V-1: their
-    in-component predecessors padded with the index V, their costs (V
-    costs 0) and their xi1 digits."""
+    successors (V for one outside them, which no closed walk reaches),
+    their costs and their xi1 digits.  Checks the cost mirror first."""
     g = build_graph()
-    scc = _components()
-    members = [v for comp in scc.nontrivial for v in comp]
+    _check_cost_mirror(g)
+    members = [v for comp in _components().nontrivial for v in comp]
     local = {v: i for i, v in enumerate(members)}
-    preds: list[list[int]] = [[] for _ in members]
-    for u in members:
-        for v in g.succ[u]:
-            if scc.component_of[u] == scc.component_of[v]:
-                preds[local[v]].append(local[u])
-    pred = np.full((len(members), max(map(len, preds))), len(members), dtype=np.intp)
-    for i, p in enumerate(preds):
-        pred[i, : len(p)] = p
-    cost = np.array([g.cost[v] for v in members] + [0], dtype=np.int32)
+    succ = np.array([[local.get(v, len(members)) for v in g.succ[u]] for u in members])
+    cost = np.array([g.cost[v] for v in members], dtype=np.int32)
     xi1 = np.array([vertex_tuple(v)[1] for v in members], dtype=np.int8)
-    return pred, cost, xi1
+    return succ, cost, xi1
 
 
-def _best_walks(n: int, cost: np.ndarray) -> list[np.ndarray]:
-    """F[k][v, s], k = 0..n: the largest cost of a walk of k steps from s
-    to v, counting the cost of each vertex it leaves.
+def _best_walks(n: int) -> list[np.ndarray]:
+    """B[k][v, s], k = 0..n: the largest cost of a walk of k steps from v
+    to s, counting the cost of each vertex it leaves: cost[v] plus the
+    largest B[k-1][w, s] over the successors w of v.
 
-    Where there is no such walk the entry stays within 5n of a sentinel
-    near -2^30, far below any walk cost.
+    Row V (the successor outside the components) holds the sentinel
+    -2^30; an entry with no such walk stays within 5n of it, far below
+    any walk cost.
     """
-    pred = _walk_tables()[0]
-    V = len(pred)
-    F = np.full((V + 1, V), -(2**30), dtype=np.int32)
-    F[np.arange(V), np.arange(V)] = 0
-    history = [F]
+    succ, cost, _ = _walk_tables()
+    V = len(succ)
+    B = np.full((V + 1, V), -(2**30), dtype=np.int32)
+    B[np.arange(V), np.arange(V)] = 0
+    history = [B]
     for _ in range(n):
-        G = F + cost[:, None]
-        F = np.concatenate([G[pred[:, 0]], G[V:]])  # row V keeps the sentinel
-        for j in range(1, pred.shape[1]):
-            np.maximum(F[:V], G[pred[:, j]], out=F[:V])
-        history.append(F)
+        best = B[succ[:, 0]]
+        for column in succ.T[1:]:
+            np.maximum(best, B[column], out=best)
+        B = np.concatenate([best + cost[:, None], B[V:]])  # row V keeps the sentinel
+        history.append(B)
     return history
 
 
 @functools.cache
 def walk_extremes(n: int) -> WalkExtremes:
     """Both weight extremes of the family at odd n and the weight-sum
-    minimizers, from the closed walks of length n (see the module
-    docstring for why their cost extremes are those over nonzero x).
+    minimizers, from one max-plus DP over the closed walks of length n
+    (the module docstring says why their cost extremes are those over
+    nonzero x, and why the least is 2n minus the largest).
 
-    Backtracks every tight step from each maximum-cost closed walk's end
-    to its start and decodes X_j = xi1 of T_j into x = sum X_j * 3^(r*j).
+    Follows every tight successor forward from each maximum-cost closed
+    walk's start and decodes X_j = xi1 of T_j into x = sum X_j * 3^(r*j).
     Computed once per n in a process.
     """
     fam = digits.family_params(n)
-    pred, cost, xi1 = _walk_tables()
-    V = len(pred)
-    loops = np.arange(V), np.arange(V)
-    min_cost = -int(_best_walks(n, -cost)[n][loops].max())
-    history = _best_walks(n, cost)
-    closed = history[n][loops]
+    succ, cost, xi1 = _walk_tables()
+    history = _best_walks(n)
+    closed = np.diagonal(history[n])
     max_cost = int(closed.max())
-    if not min_cost < n < max_cost:
+    if max_cost <= n:  # then no walk costs more than a zero walk's n, nor less
         raise AssertionError(f"a zero-residue walk is extreme at n = {n}")  # unreachable
 
-    # one row per partial walk T_k .. T_{n-1} back to its start
-    start = np.flatnonzero(closed == max_cost)
-    vertex = start
-    steps = []
-    for k in range(n - 1, -1, -1):
-        cand = pred[vertex]
-        reach = history[k][cand, start[:, None]] + cost[cand]
-        row, col = np.nonzero(reach == history[k + 1][vertex, start][:, None])
-        vertex, start = cand[row, col], start[row]
-        steps.append((vertex, row))
+    # one row per partial walk T_0 .. T_j that can still close at the maximum
+    walk = np.flatnonzero(closed == max_cost)[:, None]
+    for k in range(n - 1, 0, -1):
+        v, s = walk[:, -1], walk[:, 0]
+        cand = succ[v]
+        tight = history[k][cand, s[:, None]] + cost[v, None] == history[k + 1][v, s, None]
+        row, col = np.nonzero(tight)
+        walk = np.column_stack([walk[row], cand[row, col]])
 
-    X = np.empty((len(vertex), n), dtype=np.int8)
-    row = np.arange(len(vertex))
-    for j, (vertex_j, parent) in enumerate(reversed(steps)):  # T_0 first
-        X[:, j] = xi1[vertex_j[row]]
-        row = parent[row]
+    X = xi1[walk]
     digits_le = np.empty_like(X)
     digits_le[:, [(fam.r * j) % n for j in range(n)]] = X
     text = (digits_le[:, ::-1] + ord("0")).astype(np.uint8).tobytes()  # big-endian rows
     residues = (int(text[i * n : (i + 1) * n], 3) for i in range(len(X)))
     ranked = sorted(zip(residues, X.sum(axis=1).tolist()))  # Python ints at any n
     return WalkExtremes(
-        min_diff=min_cost - n,
+        min_diff=n - max_cost,  # the least walk cost 2n - max_cost, minus n
         min_weight_sum=3 * n - max_cost,  # w(-y) = 2n - w(y)
         minimizers=tuple(x for x, _ in ranked),
         weights=tuple(w for _, w in ranked),

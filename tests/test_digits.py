@@ -189,6 +189,15 @@ def test_stickelberger_refuses_huge_n_at_once():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_stickelberger_refuses_p_below_2_at_once():
+    # as build_field does, before the ceiling check, which needs p >= 0
+    t0 = time.perf_counter()
+    for p in (-3, -2, 0, 1):
+        with pytest.raises(FieldError, match=f"^p = {p} is not prime$"):
+            stickelberger_bound(p, 10**7, 5)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_family_witness_reports():
     # the two weights sum to n + 1, the least weight sum
     for n in (5, 7, 9):

@@ -43,8 +43,8 @@ def test_composite_p_with_large_cofactor_is_refused_at_once():
 
 
 def test_p_below_2_is_refused_before_its_power_is_built():
-    # the ceiling check computes p^n exactly for p < 2, so such a p is
-    # refused as not prime without it: (-3)^(10^9) is a 200 MB integer
+    # the ceiling check's exact test needs p >= 0, so such a p is refused
+    # as not prime without it: (-3)^(10^9) is a 200 MB integer
     t0 = time.perf_counter()
     for p in (-3, -2, 0, 1):
         with pytest.raises(FieldError, match="not prime"):
@@ -296,6 +296,19 @@ def test_ceiling_check_from_logarithms_agrees_with_exact_powers(monkeypatch):
         assert ff.power_exceeds(p, n, q - 1)
         assert not ff.power_exceeds(p, n, q)
         assert not ff.power_exceeds(p, n, q + 1)
+    # every power against limits on both sides of it and far from it
+    for p in (2, 3, 5, 7, 1009, 10**18 + 3):
+        powers = [p**k for k in range(81)]
+        limits = [0, 1] + [pk + e for pk in powers for e in (-1, 0, 1)]
+        for n in range(81):
+            for limit in limits:
+                assert ff.power_exceeds(p, n, limit) == (powers[n] > limit), (p, n, limit)
+    # an exponent of 10^9 is decided from bit lengths alone
+    t0 = time.perf_counter()
+    for p in (2, 3, 1009, 10**18 + 3):
+        for limit in (0, 1, 3**15, 2**64):
+            assert ff.power_exceeds(p, 10**9, limit)
+    assert time.perf_counter() - t0 < 1.0
     # the stated figures, from the exact value's decimal digits
     def stated(p, n, entry_bytes):
         v = p**n if entry_bytes is None else (p**n * entry_bytes + 2**19) // 2**20

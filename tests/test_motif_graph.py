@@ -9,6 +9,7 @@ from oracles import family_carries_oracle, min_short_cycle_cost, ternary
 
 from triweil import digits, proof_lab
 from triweil.motif_graph import (
+    _check_cost_mirror,
     _walk_tables,
     CostGraph,
     PAIR_VERTICES,
@@ -220,14 +221,21 @@ def test_graph_is_built_once_and_immutable():
 
 
 def test_walk_tables_agree_with_graph_report():
-    # the DP's vertices are those of the two nontrivial components, and their
-    # in-component predecessors split into the same two components
+    # the DP's vertices are those of the two nontrivial components; each row
+    # holds the member's successors in local ids (V for one outside them),
+    # and those successor pairs split into the same two components
+    g = build_graph()
     rep = graph_report()
-    pred, cost, xi1 = _walk_tables()
-    V = len(pred)
+    succ, cost, xi1 = _walk_tables()
+    V = len(succ)
     assert V == sum(rep.nontrivial_sizes) == 473
-    assert len(cost) == V + 1 and cost[V] == 0 and len(xi1) == V
-    comp = list(range(V + 1))  # union-find over the predecessor pairs
+    assert len(cost) == V and len(xi1) == V
+    members = [v for comp in tarjan_scc(g).nontrivial for v in comp]
+    local = {v: i for i, v in enumerate(members)}
+    for i, u in enumerate(members):
+        assert succ[i].tolist() == [local.get(v, V) for v in g.succ[u]]
+        assert cost[i] == g.cost[u] and xi1[i] == vertex_tuple(u)[1]
+    comp = list(range(V + 1))  # union-find over the successor pairs
 
     def root(i):
         while comp[i] != i:
@@ -236,9 +244,9 @@ def test_walk_tables_agree_with_graph_report():
         return i
 
     for v in range(V):
-        for u in pred[v]:
-            if u != V:
-                comp[root(u)] = root(v)
+        for w in succ[v]:
+            if w != V:
+                comp[root(w)] = root(v)
     groups: dict[int, list[int]] = {}
     for v in range(V):
         groups.setdefault(root(v), []).append(v)
@@ -247,6 +255,21 @@ def test_walk_tables_agree_with_graph_report():
     pair = next(g for g in groups.values() if len(g) == 2)
     assert int(cost[pair].sum()) == rep.pair_cycle_cost
     assert sorted(xi1[pair].tolist()) == sorted(t[1] for t in rep.pair_component)
+
+
+def test_carry_graph_is_its_own_cost_mirror():
+    # tau(v) = 728 - v maps edges to edges and cost to 2 - cost
+    g = build_graph()
+    _check_cost_mirror(g)
+    u = vertex_id((1, 0, 2, 1, 0, 2))
+    cost = list(g.cost)
+    cost[u] += 1
+    with pytest.raises(AssertionError, match="no cost mirror"):
+        _check_cost_mirror(dataclasses.replace(g, cost=tuple(cost)))
+    succ = list(g.succ)
+    succ[u] = (succ[u][0], succ[u][1], (succ[u][2] + 1) % 729)
+    with pytest.raises(AssertionError, match="no cost mirror"):
+        _check_cost_mirror(dataclasses.replace(g, succ=tuple(succ)))
 
 
 def test_closed_walks_number_3_to_the_n():

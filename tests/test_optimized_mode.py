@@ -28,6 +28,8 @@ def test_report_under_optimize_matches_golden():
         (("proof-check", "--n", "7"), "proof-check_n_7.json"),
         (("kernel", "--n", "7", "--r", "2"), "kernel_n_7_r_2.json"),
         (("graph-verify",), "graph-verify.json"),
+        (("--ceiling", "14348907", "divisibility", "--n", "15"), "divisibility_n_15.json"),
+        (("--ceiling", "14348907", "proof-check", "--n", "15"), "proof-check_n_15.json"),
     ]:
         out = subprocess.run(
             [sys.executable, "-O", "-m", "triweil.cli", "--json", *argv],
