@@ -160,6 +160,8 @@ def weight_sums(
     the walk route of motif_graph gives the same numbers without a table,
     and the tests hold the two equal.
     """
+    if n < 1:  # as build_field does: p^n - 1 is no modulus for n < 1
+        raise FieldError(f"extension degree must be >= 1, got {n}")
     if p < 2:  # before the ceiling, whose exact test needs p >= 0
         raise FieldError(f"p = {p} is not prime")
     # the weight table and its int64 index d*j mod m; refused before p^n is built

@@ -15,15 +15,18 @@ build_field returns one shared instance per (p, n).  The construction
 multiplies elements one way only, as n x n matrices over F_p: the matrix
 of an element holds the digits of its products with the basis.  The
 modulus search, the generator search and the closing check raise
-matrices to powers, and the trace of alpha^j is the trace of its matrix.
-An F_p-linear map on codes (multiplication by gen^EXP_BLOCK, the trace)
-is tabulated by _linear_table from the images of the basis, keeping
-their digits as small-int planes and packing them into codes at the end.
-exp is filled in blocks of EXP_BLOCK: a first block by doubling on digit
-vectors, then one gather per block through the table of multiplication
-by gen^EXP_BLOCK.  The construction divides no q-sized array, and the
-Zech logarithm takes one residue mod p per log.  The tests check the
-tables against an independent polynomial-arithmetic field.
+matrices to powers.  One doubling routine, _powers, gives the rows
+v * M^k mod p: the matrix of an element, the first block of exp, and the
+digits of alpha^0..alpha^(2n-2), whose rows j..j+n-1 are the matrix of
+alpha^j, so Tr(alpha^j) is their trace.  An F_p-linear map on codes
+(multiplication by gen^EXP_BLOCK, the trace) is tabulated by
+_linear_table from the images of the basis, keeping their digits as
+small-int planes and packing them into codes at the end.  exp is filled
+in blocks of EXP_BLOCK: the first by _powers, then one gather per block
+through the table of multiplication by gen^EXP_BLOCK.  The construction
+divides no q-sized array, and the Zech logarithm takes one residue mod p
+per log.  The tests check the tables against an independent
+polynomial-arithmetic field.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -82,13 +84,17 @@ def _companion(modulus: tuple[int, ...], p: int) -> np.ndarray:
     return C
 
 
-def _mult_matrix(digits, C: np.ndarray, p: int) -> np.ndarray:
-    """The matrix of the element with these digits: row k + 1 is row k times
-    alpha."""
-    rows = [np.asarray(digits, dtype=np.int64)]
-    for _ in range(len(C) - 1):
-        rows.append(rows[-1] @ C % p)
-    return np.array(rows)
+def _powers(v, M: np.ndarray, p: int, count: int) -> np.ndarray:
+    """The int64 rows v @ M^k % p for k < count, for v with entries below p.
+
+    The rows double: the rows for k < j, times M^j, are the next j rows, and
+    M^j then squares.  For M = C and v the digits of y, n rows are y's matrix.
+    """
+    rows = np.asarray(v, dtype=np.int64)[None]
+    while len(rows) < count:
+        rows = np.concatenate([rows, rows @ M % p])
+        M = M @ M % p
+    return rows[:count]
 
 
 def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -296,21 +302,21 @@ def _build_field(p: int, n: int) -> FieldCtx:
     qm1_factors = prime_factors(q - 1)
 
     def has_full_order(code: int) -> bool:
-        M = _mult_matrix(code_digits(code, p, n), C, p)
+        M = _powers(code_digits(code, p, n), C, p, n)
         return not any(np.array_equal(_matpow(M, (q - 1) // ell, p), one) for ell in qm1_factors)
 
     gen = next(c for c in range(1, q) if has_full_order(c))
-    M_gen = _mult_matrix(code_digits(gen, p, n), C, p)
+    M_gen = _powers(code_digits(gen, p, n), C, p, n)
 
-    # exp in blocks of B: the first block by doubling on digit vectors,
+    # exp in blocks of B: the first block from the digits of gen^0..gen^(B-1),
     # then each block is the block before it times gen^B, one gather
     # through the table of that multiplication
     Q = q - 1
     B = min(EXP_BLOCK, Q)
     exp = np.empty(Q, dtype=np.int64)
-    exp[:B] = _first_powers(M_gen, p, B)
+    exp[:B] = _powers(one[0], M_gen, p, B) @ p ** np.arange(n, dtype=np.int64)
     if B < Q:
-        times_gen_b = _linear_table(_matpow(M_gen, B, p), p, n)
+        times_gen_b = _linear_table(_matpow(M_gen, B, p), p)
         for start in range(B, Q, B):
             m = min(B, Q - start)
             np.take(times_gen_b, exp[start - B : start - B + m], out=exp[start : start + m])
@@ -321,12 +327,10 @@ def _build_field(p: int, n: int) -> FieldCtx:
     log = np.full(q, -1, dtype=np.int64)
     log[exp] = np.arange(Q)
 
-    # Tr(alpha^j) is the trace of multiplication by alpha^j, the matrix C^j
-    power, basis_tr = one, []
-    for _ in range(n):
-        basis_tr.append([int(np.trace(power)) % p])
-        power = power @ C % p
-    trace_table = _linear_table(basis_tr, p, 1)
+    # Tr(alpha^j) is the trace of multiplication by alpha^j, whose row k
+    # holds the digits of alpha^(j+k): rows j..j+n-1 of alpha's powers
+    alpha = _powers(one[0], C, p, 2 * n - 1)
+    trace_table = _linear_table([[int(np.trace(alpha[j : j + n])) % p] for j in range(n)], p)
 
     return FieldCtx(
         p=p, n=n, q=q, modulus=modulus, gen=gen,
@@ -334,25 +338,10 @@ def _build_field(p: int, n: int) -> FieldCtx:
     )
 
 
-def _first_powers(M: np.ndarray, p: int, count: int) -> np.ndarray:
-    """Codes of gen^0, ..., gen^(count-1), where M is the matrix of gen.
-
-    The digit vectors double: with the rows of gen^0..gen^(k-1) at hand,
-    the next k rows are those times M, the matrix of gen^k, which then
-    squares.
-    """
-    n = len(M)
-    rows = np.eye(1, n, dtype=np.int64)
-    while len(rows) < count:
-        rows = np.concatenate([rows, rows @ M % p])
-        M = M @ M % p
-    return rows[:count] @ p ** np.arange(n, dtype=np.int64)
-
-
-def _linear_table(images: list[list[int]], p: int, width: int) -> np.ndarray:
+def _linear_table(images, p: int) -> np.ndarray:
     """Codes of an F_p-linear map on all p^len(images) codes.
 
-    images[k] holds the digits (little-endian, at most width of them) of
+    images[k] holds the width = len(images[0]) digits (little-endian) of
     the image of alpha^k.  The table grows one digit of the argument at a
     time: the codes with top digit c at position k map to
     c * images[k] + (the image of the lower digits), added digit-wise.
@@ -361,11 +350,12 @@ def _linear_table(images: list[list[int]], p: int, width: int) -> np.ndarray:
     time, in the narrowest unsigned dtype that holds every code, so no
     q-sized array is divided.
     """
+    width = len(images[0])
     planes = [np.zeros(1, dtype=np.min_scalar_type(2 * p - 2))] * width
     *lower, last = images
     for image in lower:
-        planes = [_plane_step(plane, c, p) for plane, c in zip_longest(planes, image, fillvalue=0)]
-    steps = reversed(list(zip_longest(planes, last, fillvalue=0)))
+        planes = [_plane_step(plane, c, p) for plane, c in zip(planes, image, strict=True)]
+    steps = reversed(list(zip(planes, last, strict=True)))
     table = _plane_step(*next(steps), p).astype(np.min_scalar_type(p**width - 1))
     for plane, c in steps:
         table *= table.dtype.type(p)

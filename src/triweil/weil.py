@@ -74,7 +74,7 @@ def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     Q = ctx.q - 1
     u = np.arange(Q)
-    trexp = ctx.trace_table[ctx.exp].astype(np.int64)
+    trexp = ctx.trace_table[ctx.exp]
     trd = trexp[(u * (d % Q)) % Q]
     trexp.setflags(write=False)
     trd.setflags(write=False)

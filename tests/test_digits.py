@@ -198,6 +198,13 @@ def test_stickelberger_refuses_p_below_2_at_once():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+def test_stickelberger_refuses_degree_below_1(n):
+    # build_field's message, before the ceiling check or the gcd with p^n - 1
+    with pytest.raises(FieldError, match=f"^extension degree must be >= 1, got {n}$"):
+        stickelberger_bound(3, n, 5)
+
+
 def test_family_witness_reports():
     # the two weights sum to n + 1, the least weight sum
     for n in (5, 7, 9):

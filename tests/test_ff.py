@@ -240,8 +240,8 @@ def test_quadratic_character():
 @pytest.mark.parametrize(
     "p,width,images",
     [
-        (2, 4, [[1, 1], [0, 1, 1], [1, 0, 1, 1], [1]]),  # images shorter than the width
-        (3, 3, [[2, 1, 2], [0, 0, 1], [1, 2]]),
+        (2, 4, [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1], [1, 0, 0, 0]]),
+        (3, 3, [[2, 1, 2], [0, 0, 1], [1, 2, 0]]),
         (3, 1, [[2], [0], [1], [1], [2]]),  # the trace table's shape
         (5, 2, [[4, 3], [1, 4], [0, 2]]),
         (1009, 1, [[1008]]),  # planes wider than int8
@@ -249,9 +249,25 @@ def test_quadratic_character():
     ],
 )
 def test_linear_table_matches_digit_by_digit_oracle(p, width, images):
-    table = ff._linear_table(images, p, width)
+    table = ff._linear_table(images, p)
     assert table.dtype == np.int64
     assert table.tolist() == linear_table_naive(images, p, width)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1009])
+def test_powers_match_one_product_at_a_time(p):
+    n = 6
+    rng = np.random.default_rng([1, p])
+    M = rng.integers(0, p, size=(n, n), dtype=np.int64)
+    v = rng.integers(0, p, size=n, dtype=np.int64)
+    expected = [v]
+    for _ in range(2 * n - 2):
+        expected.append(expected[-1] @ M % p)
+    assert len({tuple(row) for row in expected}) == 2 * n - 1  # no row repeats
+    for count in (1, 2, 3, 5, 8, 9, 2 * n - 1):
+        rows = ff._powers(v, M, p, count)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, expected[:count])
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Every benchmark report with n <= 9 is byte-identical to its golden.
+"""Every benchmark report with n <= 11 is byte-identical to its golden.
 
 The goldens in perfbench/golden/ are the `--json` reports the benchmark
 compares against; this module only reads them.
@@ -20,6 +20,7 @@ COMMANDS = [
     ("spectrum", "--p", "7", "--n", "2", "--d", "5"),
     ("spectrum", "--p", "7", "--n", "5", "--d", "5"),
     ("kernel", "--n", "7", "--r", "2"),
+    ("kernel", "--n", "11", "--r", "3"),
     ("divisibility", "--n", "7"),
     ("proof-check", "--n", "7"),
     ("graph-verify",),
