@@ -10,6 +10,7 @@ no timing field so output is byte-stable).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -202,7 +203,9 @@ def _run(args) -> RunReport:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as it is)."""
     parser = argparse.ArgumentParser(
         prog="triweil",
         description="Exact verification of three-valued binomial character sums "

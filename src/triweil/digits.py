@@ -23,6 +23,7 @@ scan, serves general p and d and is the tests' oracle for the family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,8 +51,10 @@ class FamilyParams:
     m: int
 
 
+@functools.cache
 def family_params(n: int) -> FamilyParams:
-    """The one derivation of the family parameters for odd n > 1.
+    """The one derivation of the family parameters for odd n > 1, made
+    once per n in a process (every carry walk reads it).
 
     gcd(d, 3^n - 1) always divides 13, and d mod 13 avoids 0, so the
     gcd is 1; it is recomputed here rather than assumed.

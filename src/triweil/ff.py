@@ -14,12 +14,14 @@ All tables are built once at construction; a FieldCtx is immutable, and
 build_field returns one shared instance per (p, n).  The construction
 multiplies elements one way only, as n x n matrices over F_p: the matrix
 of an element holds the digits of its products with the basis.  The
-modulus search, the generator search and the closing check raise
-matrices to powers.  One doubling routine, _powers, gives the rows
-v * M^k mod p: the matrix of an element, the first block of exp, and the
-digits of alpha^0..alpha^(2n-2), whose rows j..j+n-1 are the matrix of
-alpha^j, so Tr(alpha^j) is their trace.  An F_p-linear map on codes
-(multiplication by gen^EXP_BLOCK, the trace) is tabulated by
+modulus search tests 32 candidates at a time as one stack of matrices,
+by n Frobenius steps on the digits of x (_irreducible); the generator
+search and the closing check raise matrices to powers.  One doubling
+routine, _powers, gives the rows v * M^k mod p: the matrix of an element,
+the Frobenius matrix of each candidate modulus, the first block of exp,
+and the digits of alpha^0..alpha^(2n-2), whose rows j..j+n-1 are the
+matrix of alpha^j, so Tr(alpha^j) is their trace.  An F_p-linear map
+on codes (multiplication by gen^EXP_BLOCK, the trace) is tabulated by
 _linear_table from the images of the basis, keeping their digits as
 small-int planes and packing them into codes at the end.  exp is filled
 in blocks of EXP_BLOCK: the first by _powers, then one gather per block
@@ -75,12 +77,15 @@ def prime_factors(m: int) -> list[int]:
 # stay below p, so every entry of a product of two is below n * p^2.
 
 
-def _companion(modulus: tuple[int, ...], p: int) -> np.ndarray:
+def _companion(modulus, p: int) -> np.ndarray:
     """The matrix of alpha for a monic modulus: alpha^k * alpha = alpha^(k+1),
-    and alpha^n = -sum modulus[j] * alpha^j."""
-    n = len(modulus) - 1
-    C = np.eye(n, k=1, dtype=np.int64)
-    C[-1] = [-c % p for c in modulus[:-1]]
+    and alpha^n = -sum modulus[j] * alpha^j.  A stack of moduli (one per
+    row) gives the stack of their matrices."""
+    modulus = np.asarray(modulus, dtype=np.int64)
+    n = modulus.shape[-1] - 1
+    C = np.zeros(modulus.shape[:-1] + (n, n), dtype=np.int64)
+    C[..., :-1, 1:] = np.eye(n - 1, dtype=np.int64)
+    C[..., -1, :] = -modulus[..., :-1] % p
     return C
 
 
@@ -88,18 +93,21 @@ def _powers(v, M: np.ndarray, p: int, count: int) -> np.ndarray:
     """The int64 rows v @ M^k % p for k < count, for v with entries below p.
 
     The rows double: the rows for k < j, times M^j, are the next j rows, and
-    M^j then squares.  For M = C and v the digits of y, n rows are y's matrix.
+    M^j squares before each doubling but the first.  For M = C and v the
+    digits of y, n rows are y's matrix.  A stack of vectors and matrices
+    gives a stack of row blocks.
     """
-    rows = np.asarray(v, dtype=np.int64)[None]
-    while len(rows) < count:
-        rows = np.concatenate([rows, rows @ M % p])
-        M = M @ M % p
-    return rows[:count]
+    rows = np.asarray(v, dtype=np.int64)[..., None, :]
+    while rows.shape[-2] < count:
+        if rows.shape[-2] > 1:
+            M = M @ M % p
+        rows = np.concatenate([rows, rows @ M % p], axis=-2)
+    return rows[..., :count, :]
 
 
 def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
-    """M^e mod p for e >= 0, by square-and-multiply."""
-    result = np.eye(len(M), dtype=np.int64)
+    """M^e mod p for e >= 0, by square-and-multiply (for a stack, each)."""
+    result = np.eye(M.shape[-1], dtype=np.int64)
     while e:
         if e & 1:
             result = result @ M % p
@@ -108,32 +116,54 @@ def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def _invertible(M: np.ndarray, p: int) -> bool:
-    """Whether M is invertible mod p, by Gaussian elimination."""
+def _invertible(M: np.ndarray, p: int) -> np.ndarray:
+    """Which of a stack of matrices are invertible mod p, by Gaussian
+    elimination without division: each row below the pivot becomes itself
+    times the (nonzero) pivot minus a multiple of the pivot row, which
+    keeps the rank."""
     A = M % p
-    for col in range(len(A)):
-        pivots = np.flatnonzero(A[col:, col])
-        if not len(pivots):
-            return False
-        A[[col, col + pivots[0]]] = A[[col + pivots[0], col]]
-        A[col] = A[col] * pow(int(A[col, col]), -1, p) % p
-        A[col + 1 :] = (A[col + 1 :] - A[col + 1 :, col, None] * A[col]) % p
-    return True
+    ok = np.ones(len(A), dtype=bool)
+    stack = np.arange(len(A))
+    for col in range(A.shape[-1]):
+        nonzero = A[:, col:, col] != 0
+        ok &= nonzero.any(axis=1)
+        pivot = col + nonzero.argmax(axis=1)
+        top = A[stack, pivot]
+        A[stack, pivot] = A[:, col]
+        A[:, col] = top
+        below = A[:, col + 1 :]
+        below[:] = (below * top[:, col, None, None] - below[:, :, col, None] * top[:, None]) % p
+    return ok
 
 
 def is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Monic mod is irreducible iff x^(p^n) = x mod it and, for every prime
-    l | n, gcd(x^(p^(n/l)) - x, mod) is constant.
+    l | n, gcd(x^(p^(n/l)) - x, mod) is constant (see _irreducible)."""
+    return bool(_irreducible(np.array([mod]), p)[0])
 
-    On the matrix C of x modulo mod: C^(p^n) = C, and each C^(p^(n/l)) - C
-    is invertible, since a polynomial in C is invertible exactly when the
-    polynomial is prime to mod.
+
+def _irreducible(mods: np.ndarray, p: int) -> np.ndarray:
+    """Which of a stack of monic moduli (rows of n + 1 coefficients) are
+    irreducible.
+
+    Frobenius y -> y^p is F_p-linear modulo any of them: y^p has the digits
+    of y times the matrix whose row k holds those of x^(k*p), the powers of
+    the matrix C^p of x^p.  n steps from the digits of x give those of
+    x^(p^j) for j <= n, all moduli at once.  The test is x^(p^n) = x, then,
+    for each prime l | n, that the matrix of x^(p^(n/l)) - x is invertible,
+    since a polynomial in C is invertible exactly when it is prime to the
+    modulus.
     """
-    n = len(mod) - 1
-    C = _companion(mod, p)
-    if not np.array_equal(_matpow(C, p**n, p), C):
-        return False
-    return all(_invertible(_matpow(C, p ** (n // ell), p) - C, p) for ell in prime_factors(n))
+    C = _companion(mods, p)
+    n = C.shape[-1]
+    frobenius = _powers(np.eye(n, dtype=np.int64)[[0] * len(C)], _matpow(C, p, p), p, n)
+    orbit = [C[:, 0]]  # the digits of x^(p^j), j = 0..n
+    for _ in range(n):
+        orbit.append((orbit[-1][:, None] @ frobenius)[:, 0] % p)
+    ok = (orbit[n] == orbit[0]).all(axis=1)
+    for ell in prime_factors(n):  # only on the moduli still in the running
+        ok[ok] = _invertible(_powers(orbit[n // ell][ok], C[ok], p, n) - C[ok], p)
+    return ok
 
 
 def code_digits(code: int, p: int, n: int) -> tuple[int, ...]:
@@ -144,20 +174,15 @@ def code_digits(code: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(digs)
 
 
-def digits_code(digs, p: int) -> int:
-    """The code of a little-endian digit sequence."""
-    code = 0
-    for d in reversed(digs):
-        code = code * p + d
-    return code
-
-
 def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
-    # monic degree-n polynomials ordered by their packed lower-coefficient code
-    for code in range(p**n):
-        mod = code_digits(code, p, n) + (1,)
-        if is_irreducible(mod, p):
-            return mod
+    # monic degree-n polynomials ordered by their packed lower-coefficient
+    # code, tested 32 at a time
+    for start in range(0, p**n, 32):
+        codes = range(start, min(start + 32, p**n))
+        mods = np.array([code_digits(code, p, n) + (1,) for code in codes], dtype=np.int64)
+        found = np.flatnonzero(_irreducible(mods, p))
+        if len(found):
+            return tuple(int(c) for c in mods[found[0]])
     raise FieldError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 

@@ -44,9 +44,13 @@ walk of x to that of -x), so the least walk cost is 2n minus the largest.
 walk_extremes finds the largest by one max-plus dynamic program along
 the successor table, over walks of n steps in the two nontrivial
 components (a closed walk never leaves its component), then follows
-tight successors forward into the weight-sum minimizers.  No table of
-3^n entries is built; the exhaustive digit-weight scan
-(digits.weight_sums) is the tests' oracle.
+tight successors forward into the weight-sum minimizers.  A vertex's
+successors depend only on (xi1, g1, g2, g3) and its carry g3', so its
+473 vertices share 159 successor triples, and each step of the program
+takes one maximum per triple.  No table of 3^n entries is built; the
+exhaustive digit-weight scan (digits.weight_sums) is the tests' oracle,
+and tests/oracles.py keeps the per-vertex step as the oracle of the
+shared one.
 
 Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
@@ -67,18 +71,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import digits
-from .ff import code_digits, digits_code
+from .ff import code_digits
 from .report import Check, Verdict
 
 NUM_VERTICES = 3**6
 
 
-def vertex_id(t: tuple[int, ...]) -> int:
-    return digits_code(t[::-1], 3)  # big-endian: xi0 is the top digit
-
-
 def vertex_tuple(vid: int) -> tuple[int, ...]:
-    return code_digits(vid, 3, 6)[::-1]
+    return code_digits(vid, 3, 6)[::-1]  # big-endian: xi0 is the top digit
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,16 @@ class CostGraph:
 def build_graph() -> CostGraph:
     """The full carry-propagation graph.
 
-    Built once per process; the graph and its tables are immutable.
+    Built once per process; the graph and its tables are immutable.  The
+    successors of u = 243*xi0 + 81*xi1 + 27*g0 + (9*g1 + 3*g2 + g3) are
+    243*xi1 + 81*k + 3*(9*g1 + 3*g2 + g3) + g3' for k = 0, 1, 2.
     """
     succ = []
     cost = []
     for u in range(NUM_VERTICES):
-        xi0, xi1, g0, g1, g2, g3 = vertex_tuple(u)
-        g3_next = (xi0 + 2 * xi1 + g0) // 3
-        # xi1' is the second digit of the successor's id, so these ascend
-        succ.append(tuple(vertex_id((xi1, k, g1, g2, g3, g3_next)) for k in range(3)))
+        xi0, xi1, g0, window = u // 243, u // 81 % 3, u // 27 % 3, u % 27
+        base = 243 * xi1 + 3 * window + (xi0 + 2 * xi1 + g0) // 3
+        succ.append((base, base + 81, base + 162))
         cost.append(1 + 2 * (xi1 - g0))
     return CostGraph(succ=tuple(succ), cost=tuple(cost))
 
@@ -272,16 +273,18 @@ def _trace(n: int, x: int) -> TraceResult:
     if any(cj not in (0, 1, 2) for cj in C):
         raise AssertionError(f"carry out of range for x = {x}: {C}")
 
+    # the id of T_j, base 3 with X_{j-1} most significant
     walk = [
-        vertex_id((X[j - 1], X[j], C[(j - 4) % n], C[(j - 3) % n], C[(j - 2) % n], C[j - 1]))
+        243 * X[j - 1] + 81 * X[j]
+        + 27 * C[(j - 4) % n] + 9 * C[(j - 3) % n] + 3 * C[(j - 2) % n] + C[j - 1]
         for j in range(n)
     ]
     g = build_graph()
-    for j in range(n):
-        u, v = walk[j], walk[(j + 1) % n]
-        if v not in g.succ[u]:
+    succ, cost = g.succ, g.cost
+    for u, v in zip(walk, walk[1:] + walk[:1]):
+        if v not in succ[u]:
             raise AssertionError(f"non-edge step {u} -> {v} for x = {x}")
-    total = sum(g.cost[u] for u in walk)
+    total = sum(cost[u] for u in walk)
 
     expected = n + sum(yd) - sum(xd)
     if total != expected:
@@ -313,10 +316,12 @@ def _check_cost_mirror(g: CostGraph) -> None:
 
 
 @functools.cache
-def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The vertices of the nontrivial components, renumbered 0..V-1: their
     successors (V for one outside them, which no closed walk reaches),
-    their costs and their xi1 digits.  Checks the cost mirror first."""
+    their costs and their xi1 digits; then the distinct successor rows
+    (triples) and each vertex's row among them (triple_of), so that
+    succ = triples[triple_of].  Checks the cost mirror first."""
     g = build_graph()
     _check_cost_mirror(g)
     members = [v for comp in _components().nontrivial for v in comp]
@@ -324,30 +329,35 @@ def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     succ = np.array([[local.get(v, len(members)) for v in g.succ[u]] for u in members])
     cost = np.array([g.cost[v] for v in members], dtype=np.int32)
     xi1 = np.array([vertex_tuple(v)[1] for v in members], dtype=np.int8)
-    return succ, cost, xi1
+    triples, triple_of = np.unique(succ, axis=0, return_inverse=True)
+    return succ, cost, xi1, triples, triple_of.reshape(-1)
 
 
-def _best_walks(n: int) -> list[np.ndarray]:
-    """B[k][v, s], k = 0..n: the largest cost of a walk of k steps from v
+def _best_walks(n: int) -> np.ndarray:
+    """B[k, v, s], k = 0..n: the largest cost of a walk of k steps from v
     to s, counting the cost of each vertex it leaves: cost[v] plus the
-    largest B[k-1][w, s] over the successors w of v.
+    largest B[k-1, w, s] over the successors w of v.
 
+    A vertex's successors depend only on its digits (xi1, g1, g2, g3) and
+    its carry g3', so the V vertices share far fewer successor triples
+    (159 for V = 473): each step takes the maximum once per triple, over
+    three gathered rows, and hands it to every vertex of that triple.
     Row V (the successor outside the components) holds the sentinel
     -2^30; an entry with no such walk stays within 5n of it, far below
     any walk cost.
     """
-    succ, cost, _ = _walk_tables()
-    V = len(succ)
-    B = np.full((V + 1, V), -(2**30), dtype=np.int32)
-    B[np.arange(V), np.arange(V)] = 0
-    history = [B]
-    for _ in range(n):
-        best = B[succ[:, 0]]
-        for column in succ.T[1:]:
-            np.maximum(best, B[column], out=best)
-        B = np.concatenate([best + cost[:, None], B[V:]])  # row V keeps the sentinel
-        history.append(B)
-    return history
+    _, cost, _, triples, triple_of = _walk_tables()
+    V = len(cost)
+    B = np.empty((n + 1, V + 1, V), dtype=np.int32)  # each step fills rows 0..V-1
+    B[0] = B[1:, V] = -(2**30)
+    B[0, np.arange(V), np.arange(V)] = 0
+    first, second, third = triples.T
+    for k in range(1, n + 1):
+        prev = B[k - 1]
+        best = np.maximum(prev[first], prev[second])
+        np.maximum(best, prev[third], out=best)
+        np.add(best[triple_of], cost[:, None], out=B[k, :V])
+    return B
 
 
 @functools.cache
@@ -362,7 +372,7 @@ def walk_extremes(n: int) -> WalkExtremes:
     Computed once per n in a process.
     """
     fam = digits.family_params(n)
-    succ, cost, xi1 = _walk_tables()
+    succ, cost, xi1, _, _ = _walk_tables()
     history = _best_walks(n)
     closed = np.diagonal(history[n])
     max_cost = int(closed.max())

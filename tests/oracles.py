@@ -11,11 +11,17 @@
 - kernel_count_naive and on_curve: the O(q^2) scan of the trilinear kernel
   on a RefField, the oracle for kernel_curve.kernel_count_direct and
   kernel_count_charsum.
+- digits_code and vertex_id: a code from its digits, and a carry-graph
+  vertex id from its tuple (xi0 most significant), the packing that
+  motif_graph's arithmetic on ids must agree with.
 - min_short_cycle_cost: a bounded exhaustive cycle scan, the oracle for
   the Bellman-Ford no-negative-cycle verdict of motif_graph.graph_report.
 - closed_form_carries: every carry of the carry lemma from its own closed
   form, O(n) big-integer terms per carry, the oracle for
   digits.carry_sequence (one closed form, then the recurrence).
+- best_walks_oracle: the max-plus walk DP of motif_graph one vertex at a
+  time, three gathers of its successor columns per step, the oracle for
+  motif_graph._best_walks (one maximum per shared successor triple).
 - family_carries_oracle: the digits of a family residue x and of -d*x by
   repeated division, and the closed-form carries of 2*x_i + x_{i-r} + z_i
   against the all-2 string; the tests rebuild from them the walks of
@@ -27,7 +33,10 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
+
 from triweil.digits import CarryError
+from triweil.motif_graph import _walk_tables
 
 
 def poly_mulmod(a, b, modulus, p: int) -> tuple[int, ...]:
@@ -138,6 +147,20 @@ def kernel_count_naive(F: RefField, r: int) -> int:
     return sum(on_curve(F, r, x, y) for x in range(F.q) for y in range(F.q))
 
 
+def digits_code(digs, p: int) -> int:
+    """The code of a little-endian digit sequence."""
+    code = 0
+    for d in reversed(digs):
+        code = code * p + d
+    return code
+
+
+def vertex_id(t) -> int:
+    """The id of a vertex tuple (xi0, xi1, g0, g1, g2, g3), base 3 with xi0
+    most significant."""
+    return digits_code(t[::-1], 3)
+
+
 def min_short_cycle_cost(g, vertices, max_len: int = 8) -> int | None:
     """Minimum total cost over all simple cycles of length <= max_len.
 
@@ -160,6 +183,25 @@ def min_short_cycle_cost(g, vertices, max_len: int = 8) -> int | None:
                 elif w > start and w not in seen and depth + 1 < max_len:
                     stack.append((w, cost + c, depth + 1, seen | {w}))
     return best
+
+
+def best_walks_oracle(n: int) -> list[np.ndarray]:
+    """B[k][v, s] for k = 0..n: cost[v] plus the largest B[k-1][w, s] over
+    the three successors w of v, each vertex's own successor row gathered
+    at every step; row V (the successor outside the components) keeps the
+    sentinel -2^30."""
+    succ, cost, *_ = _walk_tables()
+    V = len(succ)
+    B = np.full((V + 1, V), -(2**30), dtype=np.int32)
+    B[np.arange(V), np.arange(V)] = 0
+    history = [B]
+    for _ in range(n):
+        best = B[succ[:, 0]]
+        for column in succ.T[1:]:
+            np.maximum(best, B[column], out=best)
+        B = np.concatenate([best + cost[:, None], B[V:]])
+        history.append(B)
+    return history
 
 
 def closed_form_carries(s, t, b: int, n: int) -> list[int]:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triweil import weil
-from triweil.cli import main
+from triweil.cli import _build_parser, main
 from triweil.ff import FieldError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,6 +108,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum"])  # neither --family nor --d
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_reused_after_usage_errors(capsys):
+    # one parser per process: a usage error or --help leaves it as it was
+    assert _build_parser() is _build_parser()
+    for argv in (["spectrum"], ["spectrum", "--d", "5"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == (0 if argv == ["--help"] else 2)
+    capsys.readouterr()
+    code, out = run(capsys, "--json", "divisibility", "--n", "5")
+    assert code == 0 and json.loads(out)["params"] == {"d": 83, "n": 5, "r": 4}
 
 
 def test_over_ceiling_is_usage_error(capsys, monkeypatch):

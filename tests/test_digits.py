@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import closed_form_carries
+from oracles import closed_form_carries, digits_code
 
 from triweil import digits
 from triweil.digits import (
@@ -20,7 +20,7 @@ from triweil.digits import (
     weight,
     weight_table,
 )
-from triweil.ff import FieldError, digits_code
+from triweil.ff import FieldError
 
 
 def test_weight_basics():

@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 import sympy
-from oracles import linear_table_naive, ref_of
+from oracles import digits_code, linear_table_naive, ref_of
 
 from triweil import ff
-from triweil.ff import FieldError, build_field, code_digits, digits_code, is_irreducible
+from triweil.ff import FieldError, build_field, code_digits, is_irreducible
 
 
 # products and powers read off the field's exp/log tables
@@ -91,6 +91,28 @@ def test_is_irreducible_matches_sympy_exhaustive(p, max_degree):
         for code in range(p**n):
             mod = code_digits(code, p, n) + (1,)
             assert is_irreducible(mod, p) == sympy_irreducible(mod, p), (p, mod)
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 6), (5, 4), (7, 3)])
+def test_irreducible_on_one_stack_matches_sympy(p, n):
+    # every monic polynomial of degree n tested as one stack, as the modulus
+    # search tests its batches: each row must get its own verdict
+    mods = np.array([code_digits(code, p, n) + (1,) for code in range(p**n)])
+    got = ff._irreducible(mods, p)
+    assert got.dtype == bool and got.shape == (p**n,)
+    assert got.tolist() == [sympy_irreducible(tuple(m), p) for m in mods.tolist()]
+
+
+def test_invertible_on_one_stack_matches_determinant():
+    # singular and invertible matrices mixed in one stack: M is invertible
+    # mod p iff p does not divide its integer determinant
+    rng = np.random.default_rng(3)
+    for p in (2, 3, 7):
+        stack = rng.integers(0, p, size=(200, 5, 5))
+        stack[::7, 2] = stack[::7, 0] * 2 % p  # some dependent rows
+        got = ff._invertible(stack, p)
+        want = [sympy.Matrix(m).det() % p != 0 for m in stack.tolist()]
+        assert got.tolist() == want and 0 < sum(want) < len(want), p
 
 
 # the conventions behind the byte-stable reports; no report shows gen

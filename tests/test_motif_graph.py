@@ -5,10 +5,17 @@ import random
 
 import numpy as np
 import pytest
-from oracles import family_carries_oracle, min_short_cycle_cost, ternary
+from oracles import (
+    best_walks_oracle,
+    family_carries_oracle,
+    min_short_cycle_cost,
+    ternary,
+    vertex_id,
+)
 
 from triweil import digits, proof_lab
 from triweil.motif_graph import (
+    _best_walks,
     _check_cost_mirror,
     _walk_tables,
     CostGraph,
@@ -19,7 +26,6 @@ from triweil.motif_graph import (
     graph_report,
     tarjan_scc,
     trace_cycle,
-    vertex_id,
     vertex_tuple,
     walk_extremes,
 )
@@ -38,6 +44,16 @@ def test_graph_size_and_degrees():
     degrees = [len(set(s)) for s in g.succ]
     assert degrees == [3] * 729
     assert all(list(s) == sorted(s) for s in g.succ)
+
+
+def test_successors_shift_the_window_and_append_the_carry():
+    # (xi0, xi1, g0, g1, g2, g3) -> (xi1, k, g1, g2, g3, floor((xi0 + 2*xi1 + g0)/3))
+    g = build_graph()
+    for u in range(729):
+        xi0, xi1, g0, g1, g2, g3 = vertex_tuple(u)
+        carry = (xi0 + 2 * xi1 + g0) // 3
+        assert g.succ[u] == tuple(vertex_id((xi1, k, g1, g2, g3, carry)) for k in range(3))
+        assert g.cost[u] == 1 + 2 * (xi1 - g0)
 
 
 def test_origin_successors():
@@ -167,7 +183,7 @@ def _oracle_walk(n: int, x: int) -> tuple[tuple[int, ...], int]:
     return walk, n + sum(ternary(fam.d * x, n)) - sum(xd)
 
 
-@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("n", [3, 5, 7])
 def test_trace_cycle_matches_oracle_carries_exhaustive(n):
     for x in range(1, 3**n - 1):
         out = trace_cycle(n, x)
@@ -226,7 +242,7 @@ def test_walk_tables_agree_with_graph_report():
     # and those successor pairs split into the same two components
     g = build_graph()
     rep = graph_report()
-    succ, cost, xi1 = _walk_tables()
+    succ, cost, xi1, _, _ = _walk_tables()
     V = len(succ)
     assert V == sum(rep.nontrivial_sizes) == 473
     assert len(cost) == V and len(xi1) == V
@@ -255,6 +271,24 @@ def test_walk_tables_agree_with_graph_report():
     pair = next(g for g in groups.values() if len(g) == 2)
     assert int(cost[pair].sum()) == rep.pair_cycle_cost
     assert sorted(xi1[pair].tolist()) == sorted(t[1] for t in rep.pair_component)
+
+
+def test_every_member_reads_its_successor_triple():
+    # the DP takes one maximum per distinct successor row and hands it on
+    succ, _, _, triples, triple_of = _walk_tables()
+    assert triples.shape == (159, 3) and triple_of.shape == (len(succ),)
+    assert len({tuple(t) for t in triples.tolist()}) == len(triples)
+    for v in range(len(succ)):
+        assert triples[triple_of[v]].tolist() == succ[v].tolist(), v
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_best_walks_match_per_vertex_oracle(n):
+    B = _best_walks(n)
+    expected = best_walks_oracle(n)
+    assert B.shape == (n + 1, 474, 473) and B.dtype == np.int32
+    for k in range(n + 1):
+        assert np.array_equal(B[k], expected[k]), k  # row V included
 
 
 def test_carry_graph_is_its_own_cost_mirror():
