@@ -25,10 +25,17 @@ on codes (multiplication by gen^EXP_BLOCK, the trace) is tabulated by
 _linear_table from the images of the basis, keeping their digits as
 small-int planes and packing them into codes at the end.  exp is filled
 in blocks of EXP_BLOCK: the first by _powers, then one gather per block
-through the table of multiplication by gen^EXP_BLOCK.  The construction
-divides no q-sized array, and the Zech logarithm takes one residue mod p
-per log.  The tests check the tables against an independent
-polynomial-arithmetic field.
+through the table of multiplication by gen^EXP_BLOCK, and log is then
+filled a block of exp at a time.  The construction divides no q-sized
+array, and the Zech logarithm takes one residue mod p per log.  The tests
+check the tables against an independent polynomial-arithmetic field.
+
+Each table is held at the width its values need: exp and log are int32
+below q = 2^31 (int64 above), and trace_table is the narrowest unsigned
+dtype that holds p - 1 (uint8 for p < 256), so a field takes 9 bytes per
+element.  An int32 log times an exponent can pass 2^31, and NumPy keeps
+int32 times a Python int in int32, so callers take such products on
+int64 logs, one block at a time.
 """
 
 from __future__ import annotations
@@ -195,9 +202,9 @@ class FieldCtx:
     q: int
     modulus: tuple[int, ...]  # monic, little-endian, length n+1
     gen: int  # code of the fixed multiplicative generator
-    exp: np.ndarray  # exp[i] = code of gen^i, length q-1
-    log: np.ndarray  # log[code] = i; log[0] = -1
-    trace_table: np.ndarray  # absolute trace per code, values in 0..p-1
+    exp: np.ndarray  # exp[i] = code of gen^i, length q-1; int32 below q = 2^31
+    log: np.ndarray  # log[code] = i; log[0] = -1; the dtype of exp
+    trace_table: np.ndarray  # absolute trace per code, values in 0..p-1; uint8 for p < 256
 
     def index(self, x: int) -> int:
         """Discrete log of a nonzero element."""
@@ -235,7 +242,10 @@ def default_ceiling() -> int:
         raise FieldError(f"${CEILING_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-FIELD_ENTRY_BYTES = 24  # exp, log and trace_table: one int64 each per element
+# exp, log and trace_table per element: int32, int32 and uint8 for q < 2^31
+# and p < 256; a larger field holds wider tables, so its stated MiB is a
+# lower bound
+FIELD_ENTRY_BYTES = 9
 _LONG = 10**18  # check_ceiling states larger numbers by their size
 _NEAR = 20  # _stated computes a value exactly when its log10 is within 10^-_NEAR of an integer
 
@@ -335,22 +345,24 @@ def _build_field(p: int, n: int) -> FieldCtx:
 
     # exp in blocks of B: the first block from the digits of gen^0..gen^(B-1),
     # then each block is the block before it times gen^B, one gather
-    # through the table of that multiplication
+    # through the table of that multiplication; then log, a block of exp at
+    # a time.  At most two q-sized tables are alive at once: the gather
+    # table and exp, then exp and log.
     Q = q - 1
     B = min(EXP_BLOCK, Q)
-    exp = np.empty(Q, dtype=np.int64)
+    dtype = _index_dtype(q)
+    times_gen_b = _linear_table(_matpow(M_gen, B, p), p, dtype) if B < Q else None
+    exp = np.empty(Q, dtype=dtype)
     exp[:B] = _powers(one[0], M_gen, p, B) @ p ** np.arange(n, dtype=np.int64)
-    if B < Q:
-        times_gen_b = _linear_table(_matpow(M_gen, B, p), p)
-        for start in range(B, Q, B):
-            m = min(B, Q - start)
-            np.take(times_gen_b, exp[start - B : start - B + m], out=exp[start : start + m])
-        del times_gen_b
+    for start in range(B, Q, B):
+        m = min(B, Q - start)
+        np.take(times_gen_b, exp[start - B : start - B + m], out=exp[start : start + m])
+    del times_gen_b
     if not np.array_equal(np.array(code_digits(int(exp[-1]), p, n)) @ M_gen % p, one[0]):
         raise FieldError("generator power cycle did not close")  # defensive
-
-    log = np.full(q, -1, dtype=np.int64)
-    log[exp] = np.arange(Q)
+    log = np.full(q, -1, dtype=dtype)
+    for start in range(0, Q, B):
+        log[exp[start : start + B]] = np.arange(start, min(start + B, Q), dtype=dtype)
 
     # Tr(alpha^j) is the trace of multiplication by alpha^j, whose row k
     # holds the digits of alpha^(j+k): rows j..j+n-1 of alpha's powers
@@ -363,7 +375,13 @@ def _build_field(p: int, n: int) -> FieldCtx:
     )
 
 
-def _linear_table(images, p: int) -> np.ndarray:
+def _index_dtype(q: int) -> np.dtype:
+    """The dtype of exp and log: int32 while every code plus one fits in
+    it, int64 above that."""
+    return np.dtype(np.int32 if q < 2**31 else np.int64)
+
+
+def _linear_table(images, p: int, dtype=None) -> np.ndarray:
     """Codes of an F_p-linear map on all p^len(images) codes.
 
     images[k] holds the width = len(images[0]) digits (little-endian) of
@@ -372,20 +390,21 @@ def _linear_table(images, p: int) -> np.ndarray:
     c * images[k] + (the image of the lower digits), added digit-wise.
     Each digit of the image is a plane of small ints while the table
     grows; the last step packs the planes into codes one top digit at a
-    time, in the narrowest unsigned dtype that holds every code, so no
-    q-sized array is divided.
+    time, in dtype (which must hold every code; by default the narrowest
+    unsigned dtype that does), so no q-sized array is divided or cast.
     """
     width = len(images[0])
+    if dtype is None:
+        dtype = np.min_scalar_type(p**width - 1)
     planes = [np.zeros(1, dtype=np.min_scalar_type(2 * p - 2))] * width
     *lower, last = images
     for image in lower:
         planes = [_plane_step(plane, c, p) for plane, c in zip(planes, image, strict=True)]
-    steps = reversed(list(zip(planes, last, strict=True)))
-    table = _plane_step(*next(steps), p).astype(np.min_scalar_type(p**width - 1))
-    for plane, c in steps:
+    table = np.zeros(len(planes[0]) * p, dtype=dtype)
+    for c in reversed(last):  # top digit first; each plane is released once packed
         table *= table.dtype.type(p)
-        table += _plane_step(plane, c, p)
-    return table.astype(np.int64)
+        table += _plane_step(planes.pop(), c, p)
+    return table
 
 
 def _plane_step(plane: np.ndarray, c: int, p: int) -> np.ndarray:

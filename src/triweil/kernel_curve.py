@@ -85,7 +85,7 @@ def _eta_power_plus_one(ctx: FieldCtx, e: int) -> tuple[int, int]:
     for lw in _log_blocks(ctx):
         z = ctx.zech(lw * e % Q)
         hits = int(np.count_nonzero(z == -1))
-        odd = int(np.count_nonzero(z & 1)) - hits  # -1 is odd as an int64
+        odd = int(np.count_nonzero(z & 1)) - hits  # -1 is odd in any signed dtype
         total += z.size - hits - 2 * odd
         zeros += hits
     return total, zeros

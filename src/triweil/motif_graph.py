@@ -333,6 +333,19 @@ def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.n
     return succ, cost, xi1, triples, triple_of.reshape(-1)
 
 
+def _history_dtype(n: int) -> np.dtype:
+    """The dtype of the walk DP's history at n: int16 while the cost range
+    fits it (8n < 2^14), int32 above that.
+
+    A vertex costs -3 to 5, so a walk of at most n steps costs -3n to 5n,
+    above half the sentinel -2^(bits - 2) while 8n < 2^(bits - 2); the
+    sentinel plus one vertex cost stays below that half and above the
+    dtype's minimum.  (int32 holds up to n < 2^27, far past any history
+    that fits in memory.)
+    """
+    return np.dtype(np.int16 if 8 * n < 2**14 else np.int32)
+
+
 def _best_walks(n: int) -> np.ndarray:
     """B[k, v, s], k = 0..n: the largest cost of a walk of k steps from v
     to s, counting the cost of each vertex it leaves: cost[v] plus the
@@ -342,21 +355,26 @@ def _best_walks(n: int) -> np.ndarray:
     its carry g3', so the V vertices share far fewer successor triples
     (159 for V = 473): each step takes the maximum once per triple, over
     three gathered rows, and hands it to every vertex of that triple.
-    Row V (the successor outside the components) holds the sentinel
-    -2^30; an entry with no such walk stays within 5n of it, far below
-    any walk cost.
+    The history is held in _history_dtype(n), int16 up to n = 2047.
+    Row V (the successor outside the components) and every entry with no
+    such walk hold exactly the sentinel -2^(bits - 2): each step resets to
+    it the entries that fell within one vertex cost of it.
     """
     _, cost, _, triples, triple_of = _walk_tables()
     V = len(cost)
-    B = np.empty((n + 1, V + 1, V), dtype=np.int32)  # each step fills rows 0..V-1
-    B[0] = B[1:, V] = -(2**30)
+    dtype = _history_dtype(n)
+    sentinel = -(2 ** (8 * dtype.itemsize - 2))
+    step_cost = cost.astype(dtype)[:, None]
+    B = np.empty((n + 1, V + 1, V), dtype=dtype)  # each step fills rows 0..V-1
+    B[0] = B[1:, V] = sentinel
     B[0, np.arange(V), np.arange(V)] = 0
     first, second, third = triples.T
     for k in range(1, n + 1):
-        prev = B[k - 1]
+        prev, step = B[k - 1], B[k, :V]
         best = np.maximum(prev[first], prev[second])
         np.maximum(best, prev[third], out=best)
-        np.add(best[triple_of], cost[:, None], out=B[k, :V])
+        np.add(best[triple_of], step_cost, out=step)
+        np.putmask(step, step < sentinel // 2, sentinel)
     return B
 
 

@@ -26,6 +26,9 @@ from .ff import (
 from .report import Check, Verdict
 
 
+BLOCK = 1 << 15  # field elements per array step when building the transform's input
+
+
 class SpectrumError(ValueError):
     """Raised when an operation needs an integer-valued spectrum."""
 
@@ -74,7 +77,8 @@ def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     Q = ctx.q - 1
     u = np.arange(Q)
-    trexp = ctx.trace_table[ctx.exp]
+    # intp, not the trace table's dtype: trd - tra + p must not wrap at p > 128
+    trexp = ctx.trace_table[ctx.exp].astype(np.intp)
     trd = trexp[(u * (d % Q)) % Q]
     trexp.setflags(write=False)
     trd.setflags(write=False)
@@ -123,6 +127,17 @@ def _shift_axis(T: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tally_rows(rows: np.ndarray, fibers: dict[tuple[int, ...], int]) -> None:
+    """Add the multiplicity of each distinct row to fibers, counting equal
+    rows through one void view of each row."""
+    width = rows.shape[1]
+    row_dtype = np.dtype((np.void, rows.itemsize * width))
+    keys, mults = np.unique(rows.view(row_dtype), return_counts=True)
+    for key, mult in zip(keys.view(rows.dtype).reshape(-1, width).tolist(), mults.tolist()):
+        key = tuple(key)
+        fibers[key] = fibers.get(key, 0) + mult
+
+
 def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     """Spectrum of the sum as a runs over the nonzero field elements.
 
@@ -137,32 +152,40 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     N is a p-ary Walsh-Hadamard transform of the fiber indicator of
     Tr(x^d) over the digits of c, taken one digit axis at a time with
     cyclic shifts of the fiber axis: integer adds, no roots of unity, any p,
-    n*p^2*q element operations.  It runs in chunks of one top digit of b,
-    so the working set is a few arrays of q counts, never q*p.
+    n*p^2*q element operations.  It runs in chunks of one top digit of b.
+
+    The input, Tr(x^d) by the code of x, is one array of q traces in the
+    trace table's dtype, filled BLOCK codes at a time on int64 logs (an
+    int32 log times d would wrap).  Each chunk counts its top axis a block
+    of columns at a time, straight into the narrowest unsigned dtype that
+    holds q.  The working set is thus that input and three arrays of q
+    counts, never q*p entries and no q-sized int64 array.
     """
     if d < 1:
         raise ValueError("exponent must be positive")
     p, n, q = ctx.p, ctx.n, ctx.q
     Q = q - 1
-    tr_xd = np.zeros(q, dtype=np.int64)  # Tr(x^d) by the code of x; 0 at x = 0
-    tr_xd[1:] = ctx.trace_table[ctx.exp[ctx.log[1:] * (d % Q) % Q]]
+    tr_xd = np.zeros(q, dtype=ctx.trace_table.dtype)  # Tr(x^d) by the code of x; 0 at x = 0
+    for start in range(1, q, BLOCK):
+        logs = ctx.log[start : start + BLOCK].astype(np.int64)
+        tr_xd[start : start + BLOCK] = ctx.trace_table[ctx.exp[logs * (d % Q) % Q]]
     tr_xd = tr_xd.reshape(p, q // p)  # row = top digit of the code
     top = np.arange(p)[:, None]
-    low = np.arange(q // p) * p  # flat index of (remaining digits, fiber 0)
+    width = max(1, BLOCK // p)  # columns per bincount
+    low = np.arange(width) * p  # flat index of (column in the block, fiber 0)
     count_dtype = np.min_scalar_type(q)  # every count is at most q
     fibers: dict[tuple[int, ...], int] = {}
     for beta in range(p):
         # the top axis at b_{n-1} = beta, then the other n - 1 axes
-        T = np.bincount(((tr_xd - top * beta) % p + low).ravel(), minlength=q).astype(count_dtype)
+        T = np.empty(q, dtype=count_dtype)
+        for j in range(0, q // p, width):
+            cols = tr_xd[:, j : j + width]
+            m = cols.shape[1]
+            keys = ((cols - top * beta) % p + low[:m]).ravel()
+            T[j * p : (j + m) * p] = np.bincount(keys, minlength=m * p)
         for _ in range(n - 1):
             T = _shift_axis(T.reshape(p, -1, p))
-        rows = T.reshape(-1, p)[1 if beta == 0 else 0 :]  # drop b = 0: row 0, chunk 0
-        # count equal rows through one void view of each row
-        row_dtype = np.dtype((np.void, rows.itemsize * p))
-        keys, mults = np.unique(rows.view(row_dtype), return_counts=True)
-        for key, mult in zip(keys.view(count_dtype).reshape(-1, p).tolist(), mults.tolist()):
-            key = tuple(key)
-            fibers[key] = fibers.get(key, 0) + mult
+        _tally_rows(T.reshape(-1, p)[1 if beta == 0 else 0 :], fibers)  # drop b = 0: row 0, chunk 0
 
     entries: dict[int, int] | None = {}
     for key, mult in fibers.items():

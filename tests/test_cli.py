@@ -136,8 +136,8 @@ def test_ceiling_message_states_table_memory(capsys, monkeypatch):
     tail = "raise it via ceiling= or $TRIWEIL_CEILING\n"
     head = "error: q = 3^15 = 14348907 exceeds the table ceiling 1594323"
     assert main(["spectrum", "--family", "15"]) == 2
-    # exp, log and trace_table: three int64 tables
-    assert capsys.readouterr().err == f"{head} (~328 MiB of tables); {tail}"
+    # exp, log and trace_table: int32, int32 and uint8, 9 bytes per element
+    assert capsys.readouterr().err == f"{head} (~123 MiB of tables); {tail}"
     assert main(["divisibility", "--n", "15"]) == 2
     # the walk route builds no q-sized table, so the message names no memory
     assert capsys.readouterr().err == (

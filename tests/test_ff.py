@@ -272,8 +272,27 @@ def test_quadratic_character():
 )
 def test_linear_table_matches_digit_by_digit_oracle(p, width, images):
     table = ff._linear_table(images, p)
-    assert table.dtype == np.int64
+    assert table.dtype == np.min_scalar_type(p**width - 1)  # the narrowest that holds every code
     assert table.tolist() == linear_table_naive(images, p, width)
+    packed = ff._linear_table(images, p, np.int32)  # exp's dtype, for the gather that fills exp
+    assert packed.dtype == np.int32 and np.array_equal(packed, table)
+
+
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 5), (3, 9), (5, 4), (7, 3), (251, 2)])
+def test_field_tables_fit_the_stated_bytes_per_element(p, n):
+    # the refusal message states FIELD_ENTRY_BYTES per element, exact for q < 2^31 and p < 256
+    ctx = build_field(p, n)
+    table_bytes = ctx.exp.nbytes + ctx.log.nbytes + ctx.trace_table.nbytes
+    assert table_bytes <= ff.FIELD_ENTRY_BYTES * ctx.q
+    assert (ctx.exp.dtype, ctx.log.dtype, ctx.trace_table.dtype) == (np.int32, np.int32, np.uint8)
+
+
+def test_index_dtype_holds_every_code_plus_one():
+    # decided from q alone; no table is built
+    for q in (3**19, 2**31 - 1):
+        assert ff._index_dtype(q) == np.int32 and q <= np.iinfo(np.int32).max
+    for q in (2**31, 3**21):
+        assert ff._index_dtype(q) == np.int64
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 1009])

@@ -17,6 +17,7 @@ from triweil import digits, proof_lab
 from triweil.motif_graph import (
     _best_walks,
     _check_cost_mirror,
+    _history_dtype,
     _walk_tables,
     CostGraph,
     PAIR_VERTICES,
@@ -286,9 +287,19 @@ def test_every_member_reads_its_successor_triple():
 def test_best_walks_match_per_vertex_oracle(n):
     B = _best_walks(n)
     expected = best_walks_oracle(n)
-    assert B.shape == (n + 1, 474, 473) and B.dtype == np.int32
+    assert B.shape == (n + 1, 474, 473) and B.dtype == np.int16
     for k in range(n + 1):
-        assert np.array_equal(B[k], expected[k]), k  # row V included
+        # the oracle's sentinel -2^30 drifts by the costs; every entry it
+        # leaves unreachable is exactly the int16 sentinel -2^14 here
+        unreachable = expected[k] < -(2**29)
+        assert np.array_equal(B[k][~unreachable], expected[k][~unreachable]), k
+        assert (B[k][unreachable] == -(2**14)).all(), k  # row V included
+
+
+def test_walk_history_dtype_holds_the_cost_range():
+    # a walk of n steps costs -3n to 5n: int16 while 8n < 2^14
+    assert _history_dtype(15) == np.int16 and _history_dtype(2047) == np.int16
+    assert _history_dtype(2048) == np.int32 and _history_dtype(10**6) == np.int32
 
 
 def test_carry_graph_is_its_own_cost_mirror():

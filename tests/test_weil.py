@@ -4,9 +4,11 @@ mini-field oracle for the smallest interesting field."""
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from oracles import ref_of
 
+from triweil import weil
 from triweil.digits import family_params
 from triweil.ff import build_field
 from triweil.weil import (
@@ -55,6 +57,8 @@ def test_spectrum_against_independent_oracle_q27():
         (7, 3, 5),
         (7, 2, 5),
         (11, 1, 3),
+        (131, 1, 3),  # traces fit uint8, their differences plus p do not
+        (257, 1, 5),  # traces need uint16
     ],
 )
 def test_spectrum_transform_matches_per_coefficient_sums(p, n, d):
@@ -67,6 +71,15 @@ def test_spectrum_transform_matches_per_coefficient_sums(p, n, d):
         assert spec.entries == Counter(v.value for v in sums)
     else:
         assert spec.entries is None
+
+
+@pytest.mark.parametrize("p, n, d", [(3, 7, 11), (5, 3, 3), (131, 1, 3)])
+def test_spectrum_block_does_not_change_the_spectrum(monkeypatch, p, n, d):
+    ctx = build_field(p, n)
+    default = spectrum(ctx, d)
+    for block in (7, ctx.q):  # ragged blocks (one column each at p = 131); a single block
+        monkeypatch.setattr(weil, "BLOCK", block)
+        assert spectrum(ctx, d) == default, block
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +108,14 @@ def test_degenerate_exponent():
     assert weil_sum(ctx, 1, 1).value == ctx.q
     assert weil_sum(ctx, 1, 2).value == 0
     assert spectrum(ctx, 1).entries == {0: ctx.q - 2, ctx.q: 1}
+
+
+def test_degenerate_spectrum_where_log_times_d_passes_int32():
+    # Tr(x^(3^10)) = Tr(x), and log * 3^10 reaches ~10^10 at n = 11: the
+    # product must be taken on int64 logs, not on the int32 log table
+    ctx = build_field(3, 11)
+    assert ctx.log.dtype == np.int32 and (ctx.q - 2) * 3**10 > 2**31
+    assert spectrum(ctx, 3**10).entries == {0: ctx.q - 2, ctx.q: 1}
 
 
 def test_family_values_n5():
