@@ -207,9 +207,9 @@ class FieldCtx:
     trace_table: np.ndarray  # absolute trace per code, values in 0..p-1; uint8 for p < 256
 
     def index(self, x: int) -> int:
-        """Discrete log of a nonzero element."""
-        if x == 0:
-            raise FieldError("zero has no discrete log")
+        """Discrete log of a nonzero element, the code x in 1..q-1."""
+        if not 0 < x < self.q:
+            raise FieldError(f"code {x} is not a nonzero element of GF({self.q})")
         return int(self.log[x])
 
     def zech(self, k: np.ndarray) -> np.ndarray:
@@ -229,7 +229,7 @@ class FieldCtx:
             raise FieldError("quadratic character needs odd characteristic")
         if x == 0:
             return 0
-        return 1 if int(self.log[x]) % 2 == 0 else -1
+        return 1 if self.index(x) % 2 == 0 else -1
 
 
 def default_ceiling() -> int:

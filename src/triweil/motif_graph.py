@@ -56,7 +56,8 @@ Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
 cycle therefore proves the weight inequality.  Tarjan's algorithm splits
 the graph into strongly connected components and Bellman-Ford certifies
-that none of them carries a negative cycle.  The graph and its
+that none of them carries a negative cycle, starting every vertex at
+distance 0 so that no cycle is out of its reach.  The graph and its
 components are built once per process and shared by graph_report,
 walk_extremes and trace_cycle.  The oracle for that verdict
 is min_short_cycle_cost in tests/oracles.py, a bounded exhaustive scan of
@@ -66,6 +67,7 @@ the simple cycles of each component; only the tests run it.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,53 +118,46 @@ class SCCReport:
 
 
 def tarjan_scc(g: CostGraph) -> SCCReport:
-    """Iterative Tarjan; components are numbered in discovery order."""
+    """Iterative Tarjan; components are numbered in discovery order.
+
+    Each open vertex waits on the work stack beside its successor iterator.
+    A virtual root (None) joined to every vertex opens each DFS tree; when
+    it resumes, every vertex seen so far lies in a closed component.
+    """
     adj = g.succ
-    n = len(adj)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
+    index = [-1] * len(adj)
+    lowlink = [0] * len(adj)
+    on_stack = [False] * len(adj)
     stack: list[int] = []
-    counter = 0
+    counter = itertools.count()
     components: list[list[int]] = []
 
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
+    work = [(None, iter(range(len(adj))))]
+    while work:
+        v, successors = work[-1]
+        for w in successors:
+            if index[w] == -1:
+                index[w] = lowlink[w] = next(counter)
+                stack.append(w)
+                on_stack[w] = True
+                work.append((w, iter(adj[w])))
+                break
+            if on_stack[w]:
+                lowlink[v] = min(lowlink[v], index[w])
+        else:  # every successor of v is done: close v
             work.pop()
-            if lowlink[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.append(w)
-                    if w == v:
-                        break
-                components.append(members)
-            if work:
+            if v is None:
+                break
+            if lowlink[v] < index[v]:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
+            else:
+                members = [stack.pop()]
+                while members[-1] != v:
+                    members.append(stack.pop())
+                for w in members:
+                    on_stack[w] = False
+                components.append(members)
 
     nontrivial = tuple(
         tuple(sorted(members))
@@ -184,42 +179,31 @@ def _components() -> SCCReport:
 def find_negative_cycle(g: CostGraph, vertices) -> list[int] | None:
     """Bellman-Ford on the subgraph induced by the given vertex set.
 
-    Runs |V| - 1 relaxation rounds from an arbitrary source; a final
-    pass that still relaxes proves a negative cycle, which is then
-    extracted through the predecessor chain.  Returns the cycle as a
-    vertex list, or None.
+    Every vertex starts at distance 0, as if a source were joined to all
+    of them, so every negative cycle in the set is in reach.  A round of
+    relaxation that changes nothing proves there is none; if round |V|
+    still relaxes, |V| predecessor steps back from the last vertex it
+    relaxed land on one.  Returns that cycle as a vertex list, or None.
     """
     vset = set(vertices)
-    sub = [(u, v, g.cost[u]) for u in sorted(vset) for v in g.succ[u] if v in vset]
-    if not sub:
+    edges = [(u, v, g.cost[u]) for u in sorted(vset) for v in g.succ[u] if v in vset]
+    if not edges:
         return None
-    source = next(iter(vset))
-    dist = {v: 0 if v == source else None for v in vset}
+    dist = dict.fromkeys(vset, 0)
     pred: dict[int, int] = {}
-    for _ in range(len(vset) - 1):
-        changed = False
-        for u, v, c in sub:
-            if dist[u] is not None and (dist[v] is None or dist[u] + c < dist[v]):
-                dist[v] = dist[u] + c
-                pred[v] = u
-                changed = True
-        if not changed:
-            break
-    for u, v, c in sub:
-        if dist[u] is not None and (dist[v] is None or dist[u] + c < dist[v]):
-            # walk back |V| steps to land inside the cycle, then collect it
-            pred[v] = u
-            x = v
-            for _ in range(len(vset)):
-                x = pred[x]
-            cycle = [x]
-            y = pred[x]
-            while y != x:
-                cycle.append(y)
-                y = pred[y]
-            cycle.reverse()
-            return cycle
-    return None
+    for _ in vset:
+        x = None  # the last vertex relaxed in this round
+        for u, v, c in edges:
+            if dist[u] + c < dist[v]:
+                dist[v], pred[v], x = dist[u] + c, u, v
+        if x is None:
+            return None
+    for _ in vset:
+        x = pred[x]
+    cycle = [x]
+    while pred[cycle[-1]] != x:
+        cycle.append(pred[cycle[-1]])
+    return cycle[::-1]
 
 
 def cycle_cost(g: CostGraph, cycle: list[int]) -> int:

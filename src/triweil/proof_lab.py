@@ -254,29 +254,21 @@ def is_ending(m: Motif) -> bool:
 def enumerate_sequences() -> tuple[SequencePattern, ...]:
     """All start-to-end motif chains with non-start/non-end interiors.
 
-    Asserts that the enumeration gives exactly the ten known sequences.
+    Grows chains from every starting motif on a worklist until each ends.
+    No successor needs a start test: a successor N of a non-ending motif M
+    has N's X_{j-1} = M's X_j != 0, so N is never a start.  Asserts that
+    the enumeration gives exactly the ten known sequences.
     """
     by_name = {m.name: m for m in MOTIF_TABLE}
     edges = succession_edges()
     found: set[tuple[str, ...]] = set()
-
-    def extend(path: tuple[str, ...]) -> None:
-        last = by_name[path[-1]]
-        if is_ending(last):
+    chains = [(m.name,) for m in MOTIF_TABLE if is_starting(m)]
+    while chains:
+        path = chains.pop()
+        if is_ending(by_name[path[-1]]):
             found.add(path)
-            return
-        for a, b in edges:
-            if a != path[-1]:
-                continue
-            nxt = by_name[b]
-            if is_ending(nxt):
-                found.add(path + (b,))
-            elif not is_starting(nxt):
-                extend(path + (b,))
-
-    for m in MOTIF_TABLE:
-        if is_starting(m):
-            extend((m.name,))
+        else:
+            chains.extend(path + (b,) for a, b in edges if a == path[-1])
 
     expected = {s.motifs for s in SEQUENCE_TABLE}
     if found != expected:

@@ -15,7 +15,11 @@
   vertex id from its tuple (xi0 most significant), the packing that
   motif_graph's arithmetic on ids must agree with.
 - min_short_cycle_cost: a bounded exhaustive cycle scan, the oracle for
-  the Bellman-Ford no-negative-cycle verdict of motif_graph.graph_report.
+  the Bellman-Ford no-negative-cycle verdict of motif_graph.graph_report
+  and, with max_len = |V|, for motif_graph.find_negative_cycle on small
+  vertex sets.
+- scc_oracle: the strongly connected components by mutual reachability,
+  one set-based DFS per vertex, the oracle for motif_graph.tarjan_scc.
 - closed_form_carries: every carry of the carry lemma from its own closed
   form, O(n) big-integer terms per carry, the oracle for
   digits.carry_sequence (one closed form, then the recurrence).
@@ -183,6 +187,21 @@ def min_short_cycle_cost(g, vertices, max_len: int = 8) -> int | None:
                 elif w > start and w not in seen and depth + 1 < max_len:
                     stack.append((w, cost + c, depth + 1, seen | {w}))
     return best
+
+
+def scc_oracle(g) -> set[frozenset[int]]:
+    """The strongly connected components of g: u and v share one iff each
+    reaches the other.  One DFS over Python sets per vertex."""
+    reach = []
+    for s in range(len(g.succ)):
+        seen, todo = {s}, [s]
+        while todo:
+            for w in g.succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    return {frozenset(w for w in reach[v] if v in reach[w]) for v in range(len(reach))}
 
 
 def best_walks_oracle(n: int) -> list[np.ndarray]:

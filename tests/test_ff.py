@@ -12,6 +12,7 @@ from oracles import digits_code, linear_table_naive, ref_of
 
 from triweil import ff
 from triweil.ff import FieldError, build_field, code_digits, is_irreducible
+from triweil.weil import weil_sum
 
 
 # products and powers read off the field's exp/log tables
@@ -258,6 +259,23 @@ def test_quadratic_character():
     for x in range(1, ctx.q):
         assert ctx.eta(x) == (1 if x in squares else -1)
 
+
+
+def test_index_and_eta_refuse_codes_outside_the_field():
+    # log[-1] is the log of code q - 1, so an unchecked index(-1) would
+    # quietly make weil_sum(ctx, d, -1) equal weil_sum(ctx, d, q - 1)
+    ctx = build_field(3, 3)
+    q = ctx.q
+    for bad in (-1, q):
+        with pytest.raises(FieldError):
+            ctx.index(bad)
+        with pytest.raises(FieldError):
+            ctx.eta(bad)
+        with pytest.raises(FieldError):
+            weil_sum(ctx, 5, bad)
+    logs = ctx.log[1:].tolist()
+    assert [ctx.index(x) for x in range(1, q)] == logs
+    assert [ctx.eta(x) for x in range(q)] == [0] + [1 if k % 2 == 0 else -1 for k in logs]
 
 @pytest.mark.parametrize(
     "p,width,images",

@@ -1,7 +1,9 @@
-"""Every benchmark report with n <= 11 is byte-identical to its golden.
+"""Every benchmark report with n <= 11, and the verify-all report, is
+byte-identical to its golden.
 
 The goldens in perfbench/golden/ are the `--json` reports the benchmark
-compares against; this module only reads them.
+compares against; this module only reads them.  tests/golden/verify-all.json
+is the `--json verify-all` report at the default ceiling.
 """
 
 from pathlib import Path
@@ -9,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from triweil.cli import main
+from triweil.ff import CEILING_ENV_VAR
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+VERIFY_ALL_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify-all.json"
 
 COMMANDS = [
     ("spectrum", "--family", "5"),
@@ -32,3 +36,9 @@ def test_report_matches_golden(capsys, argv):
     golden = GOLDEN / ("_".join(a.lstrip("-") for a in argv) + ".json")
     assert main(["--json", *argv]) == 0
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_verify_all_matches_golden(capsys, monkeypatch):
+    monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+    assert main(["--json", "verify-all"]) == 0
+    assert capsys.readouterr().out.encode() == VERIFY_ALL_GOLDEN.read_bytes()

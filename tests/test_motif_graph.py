@@ -9,6 +9,7 @@ from oracles import (
     best_walks_oracle,
     family_carries_oracle,
     min_short_cycle_cost,
+    scc_oracle,
     ternary,
     vertex_id,
 )
@@ -130,6 +131,48 @@ def test_bellman_ford_reads_only_the_given_vertices():
     cyc = find_negative_cycle(g, [0, 1, 2, 3])
     assert cyc is not None and set(cyc) == {0, 1}
     assert cycle_cost(g, cyc) == -2
+
+
+def test_bellman_ford_reaches_a_cycle_no_single_source_reaches():
+    # vertex 0 reaches only itself, so a search from 0 alone misses {1, 2}
+    g = CostGraph(succ=((0,), (2,), (1,)), cost=(1, -1, -1))
+    cyc = find_negative_cycle(g, [0, 1, 2])
+    assert cyc is not None and set(cyc) == {1, 2}
+    assert cycle_cost(g, cyc) == -2
+
+
+def _random_graph(rng: random.Random, size: int) -> CostGraph:
+    """size vertices, each with 0-4 distinct successors and a cost in -3..3."""
+    succ = [sorted(rng.sample(range(size), rng.randint(0, min(4, size)))) for _ in range(size)]
+    return CostGraph(
+        succ=tuple(map(tuple, succ)),
+        cost=tuple(rng.randint(-3, 3) for _ in range(size)),
+    )
+
+
+def test_tarjan_matches_mutual_reachability_on_random_graphs():
+    rng = random.Random(18)
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(1, 39))
+        scc = tarjan_scc(g)
+        comps = scc_oracle(g)
+        assert sorted(scc.sizes) == sorted(map(len, comps))
+        assert scc.num_components == len(comps)
+        assert set(map(frozenset, scc.nontrivial)) == {
+            c for c in comps if len(c) > 1 or any(v in g.succ[v] for v in c)
+        }
+
+
+def test_bellman_ford_matches_exhaustive_cycle_scan_on_random_subsets():
+    rng = random.Random(18)
+    for _ in range(3000):
+        g = _random_graph(rng, rng.randint(1, 10))
+        verts = rng.sample(range(len(g.succ)), rng.randint(1, min(7, len(g.succ))))
+        best = min_short_cycle_cost(g, verts, max_len=len(verts))
+        cyc = find_negative_cycle(g, verts)
+        assert (cyc is not None) == (best is not None and best < 0)
+        if cyc is not None:
+            assert set(cyc) <= set(verts) and cycle_cost(g, cyc) < 0
 
 
 def test_cycle_cost_raises_on_a_non_edge():
