@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -93,6 +94,8 @@ def cmd_spectrum(args) -> Outcome:
         return params, {"spectrum": dict(sorted(rep.spectrum.entries.items()))}, rep.checks
     weil.check_spectrum_work(args.p, args.n, args.ceiling)
     ctx = build_field(args.p, args.n, ceiling=args.ceiling)
+    if math.gcd(args.d, ctx.q - 1) != 1:  # the moment identities need it
+        raise ValueError(f"d = {args.d} is not coprime to {ctx.p}^{ctx.n} - 1")
     params = _field_params(ctx) | {"d": args.d}
     spec = weil.spectrum(ctx, args.d)
     if not spec.is_integer:
@@ -253,8 +256,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
-    if args.subcommand == "spectrum" and args.d is not None and args.n is None:
-        parser.error("--d requires --n")
+    if args.subcommand == "spectrum":
+        if args.d is not None and args.n is None:
+            parser.error("--d requires --n")
+        if args.family is not None and (args.n, args.p) != (None, 3):
+            parser.error("--family sets p = 3 and n: it takes no --n and no --p other than 3")
     return args
 
 

@@ -10,18 +10,19 @@ log(1 + gen^k), read off the tables for an array of logs.  The context
 also reads discrete logs and the quadratic character one at a time; -1
 is the code p - 1.
 
-All tables are built once at construction; a FieldCtx is immutable, and
-build_field returns one shared instance per (p, n).  The construction
-multiplies elements one way only, as n x n matrices over F_p: the matrix
-of an element holds the digits of its products with the basis.  The
-modulus search tests 32 candidates at a time as one stack of matrices,
-by n Frobenius steps on the digits of x (_irreducible); the generator
-search and the closing check raise matrices to powers.  One doubling
-routine, _powers, gives the rows v * M^k mod p: the matrix of an element,
-the Frobenius matrix of each candidate modulus, the first block of exp,
-and the digits of alpha^0..alpha^(2n-2), whose rows j..j+n-1 are the
-matrix of alpha^j, so Tr(alpha^j) is their trace.  An F_p-linear map
-on codes (multiplication by gen^EXP_BLOCK, the trace) is tabulated by
+All tables are built once at construction and are read-only; a FieldCtx
+is immutable, and build_field returns one shared instance per (p, n).
+The construction multiplies elements one way only, as n x n matrices
+over F_p: the matrix of an element holds the digits of its products with
+the basis.  The modulus search tests 32 candidates at a time as one stack
+of companion matrices C, by matrix powers alone (_irreducible: C^q = C,
+then for each prime l | n the matrix of x^(p^(n/l)) - x raised to q - 1
+is the identity); the generator search and the closing check raise
+matrices to powers too.  One doubling routine, _powers, gives the rows
+v * M^k mod p: the matrix of an element, the first block of exp, and the
+digits of alpha^0..alpha^(2n-2), whose rows j..j+n-1 are the matrix of
+alpha^j, so Tr(alpha^j) is their trace.  An F_p-linear map on codes
+(multiplication by gen^EXP_BLOCK, the trace) is tabulated by
 _linear_table from the images of the basis, keeping their digits as
 small-int planes and packing them into codes at the end.  exp is filled
 in blocks of EXP_BLOCK: the first by _powers, then one gather per block
@@ -101,15 +102,14 @@ def _powers(v, M: np.ndarray, p: int, count: int) -> np.ndarray:
 
     The rows double: the rows for k < j, times M^j, are the next j rows, and
     M^j squares before each doubling but the first.  For M = C and v the
-    digits of y, n rows are y's matrix.  A stack of vectors and matrices
-    gives a stack of row blocks.
+    digits of y, n rows are y's matrix.
     """
-    rows = np.asarray(v, dtype=np.int64)[..., None, :]
-    while rows.shape[-2] < count:
-        if rows.shape[-2] > 1:
+    rows = np.asarray(v, dtype=np.int64)[None]
+    while len(rows) < count:
+        if len(rows) > 1:
             M = M @ M % p
-        rows = np.concatenate([rows, rows @ M % p], axis=-2)
-    return rows[..., :count, :]
+        rows = np.concatenate([rows, rows @ M % p])
+    return rows[:count]
 
 
 def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -123,26 +123,6 @@ def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def _invertible(M: np.ndarray, p: int) -> np.ndarray:
-    """Which of a stack of matrices are invertible mod p, by Gaussian
-    elimination without division: each row below the pivot becomes itself
-    times the (nonzero) pivot minus a multiple of the pivot row, which
-    keeps the rank."""
-    A = M % p
-    ok = np.ones(len(A), dtype=bool)
-    stack = np.arange(len(A))
-    for col in range(A.shape[-1]):
-        nonzero = A[:, col:, col] != 0
-        ok &= nonzero.any(axis=1)
-        pivot = col + nonzero.argmax(axis=1)
-        top = A[stack, pivot]
-        A[stack, pivot] = A[:, col]
-        A[:, col] = top
-        below = A[:, col + 1 :]
-        below[:] = (below * top[:, col, None, None] - below[:, :, col, None] * top[:, None]) % p
-    return ok
-
-
 def is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Monic mod is irreducible iff x^(p^n) = x mod it and, for every prime
     l | n, gcd(x^(p^(n/l)) - x, mod) is constant (see _irreducible)."""
@@ -151,25 +131,22 @@ def is_irreducible(mod: tuple[int, ...], p: int) -> bool:
 
 def _irreducible(mods: np.ndarray, p: int) -> np.ndarray:
     """Which of a stack of monic moduli (rows of n + 1 coefficients) are
-    irreducible.
+    irreducible, by Rabin's test on their companion matrices C, all moduli
+    at once.
 
-    Frobenius y -> y^p is F_p-linear modulo any of them: y^p has the digits
-    of y times the matrix whose row k holds those of x^(k*p), the powers of
-    the matrix C^p of x^p.  n steps from the digits of x give those of
-    x^(p^j) for j <= n, all moduli at once.  The test is x^(p^n) = x, then,
-    for each prime l | n, that the matrix of x^(p^(n/l)) - x is invertible,
-    since a polynomial in C is invertible exactly when it is prime to the
-    modulus.
+    The matrix of a polynomial y in x is y(C), so x^(p^n) = x is
+    C^q = C.  Then F_p[x]/mod is a product of fields F_(p^d) with d | n,
+    and an element is a unit exactly when its (q - 1)-th power is 1.  The
+    second leg asks, for each prime l | n, that x^(p^(n/l)) - x be such a
+    unit, i.e. prime to the modulus.
     """
     C = _companion(mods, p)
     n = C.shape[-1]
-    frobenius = _powers(np.eye(n, dtype=np.int64)[[0] * len(C)], _matpow(C, p, p), p, n)
-    orbit = [C[:, 0]]  # the digits of x^(p^j), j = 0..n
-    for _ in range(n):
-        orbit.append((orbit[-1][:, None] @ frobenius)[:, 0] % p)
-    ok = (orbit[n] == orbit[0]).all(axis=1)
+    q = p**n
+    ok = (_matpow(C, q, p) == C).all(axis=(1, 2))
     for ell in prime_factors(n):  # only on the moduli still in the running
-        ok[ok] = _invertible(_powers(orbit[n // ell][ok], C[ok], p, n) - C[ok], p)
+        unit = (_matpow(C[ok], p ** (n // ell), p) - C[ok]) % p
+        ok[ok] = (_matpow(unit, q - 1, p) == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
     return ok
 
 
@@ -368,6 +345,8 @@ def _build_field(p: int, n: int) -> FieldCtx:
     # holds the digits of alpha^(j+k): rows j..j+n-1 of alpha's powers
     alpha = _powers(one[0], C, p, 2 * n - 1)
     trace_table = _linear_table([[int(np.trace(alpha[j : j + n])) % p] for j in range(n)], p)
+    for table in (exp, log, trace_table):
+        table.setflags(write=False)  # shared by every caller of build_field(p, n)
 
     return FieldCtx(
         p=p, n=n, q=q, modulus=modulus, gen=gen,

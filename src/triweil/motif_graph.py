@@ -314,7 +314,10 @@ def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.n
     cost = np.array([g.cost[v] for v in members], dtype=np.int32)
     xi1 = np.array([vertex_tuple(v)[1] for v in members], dtype=np.int8)
     triples, triple_of = np.unique(succ, axis=0, return_inverse=True)
-    return succ, cost, xi1, triples, triple_of.reshape(-1)
+    tables = succ, cost, xi1, triples, triple_of.reshape(-1)
+    for table in tables:
+        table.setflags(write=False)  # cached: shared by every caller
+    return tables
 
 
 def _history_dtype(n: int) -> np.dtype:

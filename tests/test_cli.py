@@ -280,6 +280,25 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
+def test_exponent_not_coprime_to_q_minus_1_is_usage_error(capsys):
+    # the moment identities need gcd(d, q - 1) = 1; such a d is refused, not failed
+    assert main(["spectrum", "--p", "2", "--n", "2", "--d", "3"]) == 2
+    assert capsys.readouterr().err == "error: d = 3 is not coprime to 2^2 - 1\n"
+    assert main(["spectrum", "--n", "5", "--d", "11"]) == 2  # 242 = 2 * 11^2
+    assert capsys.readouterr().err == "error: d = 11 is not coprime to 3^5 - 1\n"
+
+
+def test_family_refuses_p_and_n(capsys):
+    # the family fixes p = 3 and n; another --p or any --n would be ignored
+    for extra in (("--n", "3"), ("--n", "5"), ("--p", "7"), ("--p", "3", "--n", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--family", "5", *extra])
+        assert exc.value.code == 2
+        assert "--family sets p = 3 and n" in capsys.readouterr().err
+    code, out = run(capsys, "--json", "spectrum", "--family", "5", "--p", "3")
+    assert code == 0 and json.loads(out)["params"]["n"] == 5
+
+
 def test_bad_n_is_usage_error(capsys):
     assert main(["divisibility", "--n", "6"]) == 2
     capsys.readouterr()

@@ -1,6 +1,7 @@
 """Field construction and its tables, cross-checked against the
 independent polynomial-arithmetic field of tests/oracles.py and sympy."""
 
+import itertools
 import math
 import random
 import time
@@ -104,18 +105,6 @@ def test_irreducible_on_one_stack_matches_sympy(p, n):
     assert got.tolist() == [sympy_irreducible(tuple(m), p) for m in mods.tolist()]
 
 
-def test_invertible_on_one_stack_matches_determinant():
-    # singular and invertible matrices mixed in one stack: M is invertible
-    # mod p iff p does not divide its integer determinant
-    rng = np.random.default_rng(3)
-    for p in (2, 3, 7):
-        stack = rng.integers(0, p, size=(200, 5, 5))
-        stack[::7, 2] = stack[::7, 0] * 2 % p  # some dependent rows
-        got = ff._invertible(stack, p)
-        want = [sympy.Matrix(m).det() % p != 0 for m in stack.tolist()]
-        assert got.tolist() == want and 0 < sum(want) < len(want), p
-
-
 # the conventions behind the byte-stable reports; no report shows gen
 CONVENTION_FIELDS = [(3, 3), (2, 6), (3, 4), (3, 6), (5, 3), (7, 2)]
 
@@ -126,6 +115,12 @@ def test_modulus_is_smallest():
         assert sympy_irreducible(ctx.modulus, p), (p, n)
         for smaller in range(digits_code(ctx.modulus[:n], p)):
             assert not sympy_irreducible(code_digits(smaller, p, n) + (1,), p), (p, n, smaller)
+    # the fields of the goldens and the benchmark, and 3^15 past the default
+    # ceiling, through the search alone: the first code sympy calls irreducible
+    for p, n in [(3, 7), (3, 9), (3, 11), (5, 6), (7, 5), (2, 10), (2, 12), (3, 15)]:
+        mods = (code_digits(code, p, n) + (1,) for code in itertools.count())
+        first = next(mod for mod in mods if sympy_irreducible(mod, p))
+        assert ff._smallest_modulus(p, n) == first, (p, n)
 
 
 @pytest.mark.parametrize("p,n", CONVENTION_FIELDS)
@@ -259,6 +254,16 @@ def test_quadratic_character():
     for x in range(1, ctx.q):
         assert ctx.eta(x) == (1 if x in squares else -1)
 
+
+
+def test_field_tables_are_read_only():
+    # build_field shares one context per (p, n): a write would reach every caller
+    ctx = build_field(3, 5)
+    for name in ("exp", "log", "trace_table"):
+        table = getattr(ctx, name)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 2
+    assert build_field(3, 5).exp[0] == 1
 
 
 def test_index_and_eta_refuse_codes_outside_the_field():

@@ -326,6 +326,13 @@ def test_every_member_reads_its_successor_triple():
         assert triples[triple_of[v]].tolist() == succ[v].tolist(), v
 
 
+def test_walk_tables_are_read_only():
+    # cached once per process: a write would reach every later walk DP
+    for table in _walk_tables():
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+
+
 @pytest.mark.parametrize("n", range(3, 16, 2))
 def test_best_walks_match_per_vertex_oracle(n):
     B = _best_walks(n)
