@@ -241,9 +241,10 @@ def verify_divisibility(
     For every nonzero x mod 3^n - 1: w(x) + w(-d*x) >= n + 1 and
     n + w(d*x) - w(x) > 0, with the first minimum attained exactly at
     n + 1 (the explicit witness is among the minimizers).  Both extremes
-    and the minimizers come from motif_graph.walk_extremes: one max-plus
-    DP over closed walks gives the largest walk cost, and the graph's
-    cost mirror the least (the motif_graph docstring says why).  No
+    and the minimizers come from motif_graph.walk_extremes: a potential
+    bounds every closed walk's cost by 2n - 1, a path search along its
+    critical edges finds the walks attaining it, and the graph's cost
+    mirror gives the least (the motif_graph docstring says why).  No
     weight table is built.  The ceiling still admits only 3^n <= ceiling.
     """
     from . import motif_graph  # motif_graph imports this module

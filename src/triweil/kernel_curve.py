@@ -70,7 +70,7 @@ def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
 class CharSumCount:
     count: int
     eta_sum: int  # sum over u in F of eta(u^2 + 1)
-    hypotheses_ok: bool  # n odd and gcd(r, n) = 1
+    hypotheses_ok: bool  # n odd, gcd(r, n) = 1 and gcd(p^r + 2, q - 1) = 1
 
 
 def _eta_power_plus_one(ctx: FieldCtx, e: int) -> tuple[int, int]:
@@ -95,8 +95,9 @@ def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
     """|K| through the quadratic character, O(q).
 
     |K| = (2q - 1) + (q - 1) - sum over nonzero w of eta(w^(p^2r - p^r) + 1).
-    Outside the hypotheses (n odd, gcd(r, n) = 1) the count is still
-    returned, just flagged, so the identity can be observed failing.
+    Outside the hypotheses (n odd, gcd(r, n) = 1, and d = p^r + 2 coprime
+    to q - 1) the count is still returned, just flagged, so the identity
+    can be observed failing.
     Both character sums run on discrete logs, one block of logs at a time.
     """
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
@@ -111,7 +112,11 @@ def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
     # u = 0 gives eta(1) = 1; the nonzero u = gen^lu have u^2 = exp[2*lu]
     eta_sum = 1 + _eta_power_plus_one(ctx, 2)[0]
 
-    hyp = ctx.n % 2 == 1 and math.gcd(r, ctx.n) == 1
+    hyp = (
+        ctx.n % 2 == 1
+        and math.gcd(r, ctx.n) == 1
+        and math.gcd((pow(p, r, Q) + 2) % Q, Q) == 1
+    )
     return CharSumCount(count=count, eta_sum=eta_sum, hypotheses_ok=hyp)
 
 

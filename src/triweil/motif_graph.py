@@ -41,16 +41,20 @@ which turns xi0 + 2*xi1 + g0 into 8 minus itself and so the carry g3'
 into 2 - g3'; it maps edges to edges, and cost(tau u) = 2 - cost(u).  It
 sends each closed walk of length n and cost c to one of cost 2n - c (the
 walk of x to that of -x), so the least walk cost is 2n minus the largest.
-walk_extremes finds the largest by one max-plus dynamic program along
-the successor table, over walks of n steps in the two nontrivial
-components (a closed walk never leaves its component), then follows
-tight successors forward into the weight-sum minimizers.  A vertex's
-successors depend only on (xi1, g1, g2, g3) and its carry g3', so its
-473 vertices share 159 successor triples, and each step of the program
-takes one maximum per triple.  No table of 3^n entries is built; the
-exhaustive digit-weight scan (digits.weight_sums) is the tests' oracle,
-and tests/oracles.py keeps the per-vertex step as the oracle of the
-shared one.
+walk_extremes finds the largest from a potential phi on the vertices of
+the two nontrivial components (a closed walk never leaves its
+component): _walk_tables checks that every vertex cost is odd and that
+every reduced cost phi(u) + cost(u) - 2 - phi(v) is at most 0.  A closed
+walk of n steps then costs 2n plus its reduced costs, at most 2n, and
+n mod 2, so at odd n at most 2n - 1, exactly when one of its edges has
+reduced cost -1 and the rest 0: these edges form the critical graph of
+the potential, the certificate of Karp's characterization of the cycle
+mean.  The family witness costs 2n - 1, so a path search along the
+0-edges finds every maximal walk and with them the weight-sum
+minimizers.  No table of 3^n entries is built; the exhaustive
+digit-weight scan (digits.weight_sums) is the tests' oracle, and
+tests/oracles.py keeps a (max, count) walk DP as the oracle of the
+largest cost and of the number of walks attaining it.
 
 Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
@@ -300,12 +304,11 @@ def _check_cost_mirror(g: CostGraph) -> None:
 
 
 @functools.cache
-def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The vertices of the nontrivial components, renumbered 0..V-1: their
     successors (V for one outside them, which no closed walk reaches),
-    their costs and their xi1 digits; then the distinct successor rows
-    (triples) and each vertex's row among them (triple_of), so that
-    succ = triples[triple_of].  Checks the cost mirror first."""
+    their costs, their xi1 digits and the reduced cost of each edge out of
+    them (_reduced_costs).  Checks the cost mirror first."""
     g = build_graph()
     _check_cost_mirror(g)
     members = [v for comp in _components().nontrivial for v in comp]
@@ -313,87 +316,70 @@ def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.n
     succ = np.array([[local.get(v, len(members)) for v in g.succ[u]] for u in members])
     cost = np.array([g.cost[v] for v in members], dtype=np.int32)
     xi1 = np.array([vertex_tuple(v)[1] for v in members], dtype=np.int8)
-    triples, triple_of = np.unique(succ, axis=0, return_inverse=True)
-    tables = succ, cost, xi1, triples, triple_of.reshape(-1)
+    tables = succ, cost, xi1, _reduced_costs(succ, cost)
     for table in tables:
         table.setflags(write=False)  # cached: shared by every caller
     return tables
 
 
-def _history_dtype(n: int) -> np.dtype:
-    """The dtype of the walk DP's history at n: int16 while the cost range
-    fits it (8n < 2^14), int32 above that.
+def _reduced_costs(succ: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """reduced[u, j] = phi(u) + cost(u) - 2 - phi(succ[u, j]) for an
+    integer potential phi; AssertionError unless every cost is odd and
+    every reduced cost is <= 0.
 
-    A vertex costs -3 to 5, so a walk of at most n steps costs -3n to 5n,
-    above half the sentinel -2^(bits - 2) while 8n < 2^(bits - 2); the
-    sentinel plus one vertex cost stays below that half and above the
-    dtype's minimum.  (int32 holds up to n < 2^27, far past any history
-    that fits in memory.)
+    phi comes from Bellman-Ford on cost - 2, at most V rounds of
+    phi(v) = max(phi(v), phi(u) + cost(u) - 2) over the edges; the check
+    below is one pass over the edges and does not trust that loop.  The
+    outside vertex V is then lifted by 2, so every edge into it has
+    reduced cost <= -2 and no maximal walk takes one.
     """
-    return np.dtype(np.int16 if 8 * n < 2**14 else np.int32)
-
-
-def _best_walks(n: int) -> np.ndarray:
-    """B[k, v, s], k = 0..n: the largest cost of a walk of k steps from v
-    to s, counting the cost of each vertex it leaves: cost[v] plus the
-    largest B[k-1, w, s] over the successors w of v.
-
-    A vertex's successors depend only on its digits (xi1, g1, g2, g3) and
-    its carry g3', so the V vertices share far fewer successor triples
-    (159 for V = 473): each step takes the maximum once per triple, over
-    three gathered rows, and hands it to every vertex of that triple.
-    The history is held in _history_dtype(n), int16 up to n = 2047.
-    Row V (the successor outside the components) and every entry with no
-    such walk hold exactly the sentinel -2^(bits - 2): each step resets to
-    it the entries that fell within one vertex cost of it.
-    """
-    _, cost, _, triples, triple_of = _walk_tables()
+    if (cost % 2 == 0).any():
+        raise AssertionError(f"even vertex cost at vertices {np.flatnonzero(cost % 2 == 0)}")
     V = len(cost)
-    dtype = _history_dtype(n)
-    sentinel = -(2 ** (8 * dtype.itemsize - 2))
-    step_cost = cost.astype(dtype)[:, None]
-    B = np.empty((n + 1, V + 1, V), dtype=dtype)  # each step fills rows 0..V-1
-    B[0] = B[1:, V] = sentinel
-    B[0, np.arange(V), np.arange(V)] = 0
-    first, second, third = triples.T
-    for k in range(1, n + 1):
-        prev, step = B[k - 1], B[k, :V]
-        best = np.maximum(prev[first], prev[second])
-        np.maximum(best, prev[third], out=best)
-        np.add(best[triple_of], step_cost, out=step)
-        np.putmask(step, step < sentinel // 2, sentinel)
-    return B
+    phi = np.zeros(V + 1, dtype=np.int64)
+    for _ in range(V):
+        lifted = phi.copy()
+        np.maximum.at(lifted, succ, (phi[:V] + cost - 2)[:, None])
+        if np.array_equal(lifted, phi):
+            break
+        phi = lifted
+    phi[V] += 2
+    reduced = (phi[:V] + cost - 2)[:, None] - phi[succ]
+    if (reduced > 0).any():
+        raise AssertionError("no potential: some cycle costs more than 2 per step")
+    return reduced
 
 
 @functools.cache
 def walk_extremes(n: int) -> WalkExtremes:
     """Both weight extremes of the family at odd n and the weight-sum
-    minimizers, from one max-plus DP over the closed walks of length n
-    (the module docstring says why their cost extremes are those over
-    nonzero x, and why the least is 2n minus the largest).
+    minimizers, from the critical graph of the potential of _walk_tables
+    (the module docstring says why the cost extremes are those over
+    nonzero x, why the least is 2n minus the largest, and why the largest
+    is 2n - 1, on the walks with one edge of reduced cost -1 and the rest
+    0).
 
-    Follows every tight successor forward from each maximum-cost closed
-    walk's start and decodes X_j = xi1 of T_j into x = sum X_j * 3^(r*j).
-    Computed once per n in a process.
+    The search starts at the head of each -1 edge, follows the 0-edges
+    for n - 1 steps and keeps the paths that end at that edge's tail.  A
+    walk with one -1 edge has no shorter period, so its n rotations are
+    distinct walks; each decodes through X_j = xi1 of T_j into
+    x = sum X_j * 3^(r*j).  Computed once per n in a process.
     """
     fam = digits.family_params(n)
-    succ, cost, xi1, _, _ = _walk_tables()
-    history = _best_walks(n)
-    closed = np.diagonal(history[n])
-    max_cost = int(closed.max())
-    if max_cost <= n:  # then no walk costs more than a zero walk's n, nor less
-        raise AssertionError(f"a zero-residue walk is extreme at n = {n}")  # unreachable
+    succ, _, xi1, reduced = _walk_tables()
+    tail, col = np.nonzero(reduced == -1)
+    walk = np.column_stack([tail, succ[tail, col]])  # the -1 edge, tail first
+    for _ in range(n - 1):
+        last = walk[:, -1]
+        row, col = np.nonzero(reduced[last] == 0)
+        walk = np.column_stack([walk[row], succ[last[row], col]])
+    walk = walk[walk[:, -1] == walk[:, 0], 1:]  # head .. tail, closed by the -1 edge
+    if not len(walk):  # unreachable: the family witness costs 2n - 1
+        raise AssertionError(f"no closed walk costs 2n - 1 at n = {n}")
+    max_cost = 2 * n - 1
 
-    # one row per partial walk T_0 .. T_j that can still close at the maximum
-    walk = np.flatnonzero(closed == max_cost)[:, None]
-    for k in range(n - 1, 0, -1):
-        v, s = walk[:, -1], walk[:, 0]
-        cand = succ[v]
-        tight = history[k][cand, s[:, None]] + cost[v, None] == history[k + 1][v, s, None]
-        row, col = np.nonzero(tight)
-        walk = np.column_stack([walk[row], cand[row, col]])
-
-    X = xi1[walk]
+    turns = (np.arange(n)[:, None] + np.arange(n)) % n  # row s: rotation by s
+    X = xi1[walk[:, turns].reshape(-1, n)]
     digits_le = np.empty_like(X)
     digits_le[:, [(fam.r * j) % n for j in range(n)]] = X
     text = (digits_le[:, ::-1] + ord("0")).astype(np.uint8).tobytes()  # big-endian rows

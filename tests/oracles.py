@@ -23,9 +23,10 @@
 - closed_form_carries: every carry of the carry lemma from its own closed
   form, O(n) big-integer terms per carry, the oracle for
   digits.carry_sequence (one closed form, then the recurrence).
-- best_walks_oracle: the max-plus walk DP of motif_graph one vertex at a
-  time, three gathers of its successor columns per step, the oracle for
-  motif_graph._best_walks (one maximum per shared successor triple).
+- best_walks_oracle: a (max, count) walk DP over the whole carry graph,
+  every walk of k steps between every two vertices, the oracle for the
+  largest closed-walk cost of motif_graph.walk_extremes and for the
+  number of its minimizers.
 - family_carries_oracle: the digits of a family residue x and of -d*x by
   repeated division, and the closed-form carries of 2*x_i + x_{i-r} + z_i
   against the all-2 string; the tests rebuild from them the walks of
@@ -40,7 +41,7 @@ import functools
 import numpy as np
 
 from triweil.digits import CarryError
-from triweil.motif_graph import _walk_tables
+from triweil.motif_graph import build_graph
 
 
 def poly_mulmod(a, b, modulus, p: int) -> tuple[int, ...]:
@@ -204,23 +205,26 @@ def scc_oracle(g) -> set[frozenset[int]]:
     return {frozenset(w for w in reach[v] if v in reach[w]) for v in range(len(reach))}
 
 
-def best_walks_oracle(n: int) -> list[np.ndarray]:
-    """B[k][v, s] for k = 0..n: cost[v] plus the largest B[k-1][w, s] over
-    the three successors w of v, each vertex's own successor row gathered
-    at every step; row V (the successor outside the components) keeps the
-    sentinel -2^30."""
-    succ, cost, *_ = _walk_tables()
-    V = len(succ)
-    B = np.full((V + 1, V), -(2**30), dtype=np.int32)
-    B[np.arange(V), np.arange(V)] = 0
-    history = [B]
+def best_walks_oracle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, N) over the 729 vertices of build_graph: B[v, s] the largest
+    cost of a walk of n steps from v to s, counting the cost of each
+    vertex it leaves, and N[v, s] the number of walks attaining it (0
+    where there is none).  Each step gathers the three successor rows of
+    every vertex, keeps their maximum and adds the counts that reach it;
+    an entry with no walk holds the sentinel -2^30, drifted by the costs.
+    """
+    g = build_graph()
+    succ = np.array(g.succ)
+    cost = np.array(g.cost, dtype=np.int64)
+    B = np.full((len(cost), len(cost)), -(2**30), dtype=np.int64)
+    np.fill_diagonal(B, 0)
+    N = np.eye(len(cost), dtype=np.int64)
     for _ in range(n):
-        best = B[succ[:, 0]]
-        for column in succ.T[1:]:
-            np.maximum(best, B[column], out=best)
-        B = np.concatenate([best + cost[:, None], B[V:]])
-        history.append(B)
-    return history
+        gathered = B[succ]
+        best = gathered.max(axis=1)
+        N = np.where(gathered == best[:, None], N[succ], 0).sum(axis=1)
+        B = best + cost[:, None]
+    return B, N
 
 
 def closed_form_carries(s, t, b: int, n: int) -> list[int]:

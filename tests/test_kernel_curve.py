@@ -75,6 +75,29 @@ def test_hypothesis_flag_reported_not_raised():
     assert out.hypotheses_ok is False
 
 
+def test_hypothesis_flag_needs_d_coprime_to_q_minus_1():
+    # d = 3^2 + 2 = 11 divides 3^5 - 1 = 242: the character sum misses
+    ctx = build_field(3, 5)
+    naive = kernel_count_naive(ref_of(ctx), 2)
+    assert naive == kernel_count_direct(ctx, 2) == 969
+    out = kernel_count_charsum(ctx, 2)
+    assert out.count == 729 and out.hypotheses_ok is False
+    rep = kernel_report(ctx, 2)
+    assert not rep.passed
+    assert [c.claim for c in rep.checks if not c.ok] == [
+        "kernel.direct-equals-charsum", "kernel.count", "kernel.hypotheses"
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_hypothesis_flag_holds_exactly_where_the_routes_agree_on_3q(n):
+    ctx = build_field(3, n)
+    for r in range(-2, 2 * n + 1):
+        direct = kernel_count_direct(ctx, r)
+        out = kernel_count_charsum(ctx, r)
+        assert out.hypotheses_ok == (direct == out.count == 3 * ctx.q), r
+
+
 def test_report_passes():
     rep = kernel_report(build_field(3, 5), 4)
     assert rep.passed

@@ -16,9 +16,9 @@ from oracles import (
 
 from triweil import digits, proof_lab
 from triweil.motif_graph import (
-    _best_walks,
     _check_cost_mirror,
-    _history_dtype,
+    _components,
+    _reduced_costs,
     _walk_tables,
     CostGraph,
     PAIR_VERTICES,
@@ -286,7 +286,7 @@ def test_walk_tables_agree_with_graph_report():
     # and those successor pairs split into the same two components
     g = build_graph()
     rep = graph_report()
-    succ, cost, xi1, _, _ = _walk_tables()
+    succ, cost, xi1, _ = _walk_tables()
     V = len(succ)
     assert V == sum(rep.nontrivial_sizes) == 473
     assert len(cost) == V and len(xi1) == V
@@ -317,39 +317,63 @@ def test_walk_tables_agree_with_graph_report():
     assert sorted(xi1[pair].tolist()) == sorted(t[1] for t in rep.pair_component)
 
 
-def test_every_member_reads_its_successor_triple():
-    # the DP takes one maximum per distinct successor row and hands it on
-    succ, _, _, triples, triple_of = _walk_tables()
-    assert triples.shape == (159, 3) and triple_of.shape == (len(succ),)
-    assert len({tuple(t) for t in triples.tolist()}) == len(triples)
-    for v in range(len(succ)):
-        assert triples[triple_of[v]].tolist() == succ[v].tolist(), v
-
-
 def test_walk_tables_are_read_only():
-    # cached once per process: a write would reach every later walk DP
+    # cached once per process: a write would reach every later walk search
     for table in _walk_tables():
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0
 
 
-@pytest.mark.parametrize("n", range(3, 16, 2))
+@pytest.mark.parametrize("n", range(3, 22, 2))
 def test_best_walks_match_per_vertex_oracle(n):
-    B = _best_walks(n)
-    expected = best_walks_oracle(n)
-    assert B.shape == (n + 1, 474, 473) and B.dtype == np.int16
-    for k in range(n + 1):
-        # the oracle's sentinel -2^30 drifts by the costs; every entry it
-        # leaves unreachable is exactly the int16 sentinel -2^14 here
-        unreachable = expected[k] < -(2**29)
-        assert np.array_equal(B[k][~unreachable], expected[k][~unreachable]), k
-        assert (B[k][unreachable] == -(2**14)).all(), k  # row V included
+    # the largest closed-walk cost over the whole graph, and how many walks
+    # attain it: one per minimizer, as each nonzero residue is one walk
+    B, N = best_walks_oracle(n)
+    closed, counts = np.diagonal(B), np.diagonal(N)
+    ext = walk_extremes(n)
+    assert closed.max() == 3 * n - ext.min_weight_sum == 2 * n - 1
+    assert counts[closed == closed.max()].sum() == len(ext.minimizers)
+    if n >= 15:
+        assert len(ext.minimizers) == {15: 3615, 17: 8585, 19: 20121, 21: 46641}[n]
 
 
-def test_walk_history_dtype_holds_the_cost_range():
-    # a walk of n steps costs -3n to 5n: int16 while 8n < 2^14
-    assert _history_dtype(15) == np.int16 and _history_dtype(2047) == np.int16
-    assert _history_dtype(2048) == np.int32 and _history_dtype(10**6) == np.int32
+def test_potential_certifies_the_walk_tables():
+    # reduced costs <= 0 with 227 edges at -1 and 549 at 0; every edge out of
+    # the components sits at -2 or below
+    succ, cost, _, reduced = _walk_tables()
+    assert reduced.shape == succ.shape and (reduced <= 0).all()
+    assert ((reduced == -1).sum(), (reduced == 0).sum()) == (227, 549)
+    assert (reduced[succ == len(cost)] <= -2).all()
+
+
+def test_potential_check_raises_on_even_cost_or_heavy_cycle():
+    succ, cost, _, _ = _walk_tables()
+    loop = next(v for v in range(len(cost)) if v in succ[v])  # a self-loop of cost 1
+    assert cost[loop] == 1
+    even = cost.copy()
+    even[loop] += 1
+    with pytest.raises(AssertionError, match="even vertex cost"):
+        _reduced_costs(succ, even)
+    heavy = cost.copy()
+    heavy[loop] += 2  # the loop now costs 3 per step, still odd
+    with pytest.raises(AssertionError, match="more than 2 per step"):
+        _reduced_costs(succ, heavy)
+
+
+def test_reduced_costs_sum_along_traced_walks():
+    # a closed walk of n steps costs 2n plus its reduced costs
+    succ, _, _, reduced = _walk_tables()
+    members = [v for comp in _components().nontrivial for v in comp]
+    local = {v: i for i, v in enumerate(members)}
+    rng = random.Random(15)
+    for _ in range(200):
+        out = trace_cycle(15, rng.randrange(1, 3**15 - 1))
+        walk = [local[v] for v in out.walk]
+        total = sum(
+            int(reduced[u, succ[u].tolist().index(v)])
+            for u, v in zip(walk, walk[1:] + walk[:1])
+        )
+        assert total == out.cost - 2 * 15, out.x
 
 
 def test_carry_graph_is_its_own_cost_mirror():
