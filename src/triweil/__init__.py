@@ -23,7 +23,7 @@ from .digits import (
     verify_divisibility,
     weight,
 )
-from .motif_graph import build_graph, find_negative_cycle, graph_report, tarjan_scc, trace_cycle
+from .motif_graph import bellman_ford, build_graph, graph_report, tarjan_scc, trace_cycle
 from .proof_lab import (
     check_minimizer_structure,
     check_surgery,

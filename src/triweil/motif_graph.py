@@ -41,10 +41,12 @@ which turns xi0 + 2*xi1 + g0 into 8 minus itself and so the carry g3'
 into 2 - g3'; it maps edges to edges, and cost(tau u) = 2 - cost(u).  It
 sends each closed walk of length n and cost c to one of cost 2n - c (the
 walk of x to that of -x), so the least walk cost is 2n minus the largest.
-walk_extremes finds the largest from a potential phi on the vertices of
-the two nontrivial components (a closed walk never leaves its
-component): _walk_tables checks that every vertex cost is odd and that
-every reduced cost phi(u) + cost(u) - 2 - phi(v) is at most 0.  A closed
+walk_extremes finds the largest from the potential phi(v) = -dist(tau v)
+of the graph's Bellman-Ford distances (below): as tau maps each edge
+u -> v to the edge tau u -> tau v of cost 2 - cost(u), dist(tau v) is at
+most dist(tau u) + 2 - cost(u), so every reduced cost
+phi(u) + cost(u) - 2 - phi(v) is at most 0.  _walk_tables checks that,
+and that every vertex cost is odd, in one pass over the edges.  A closed
 walk of n steps then costs 2n plus its reduced costs, at most 2n, and
 n mod 2, so at odd n at most 2n - 1, exactly when one of its edges has
 reduced cost -1 and the rest 0: these edges form the critical graph of
@@ -58,14 +60,16 @@ largest cost and of the number of walks attaining it.
 
 Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
-cycle therefore proves the weight inequality.  Tarjan's algorithm splits
-the graph into strongly connected components and Bellman-Ford certifies
-that none of them carries a negative cycle, starting every vertex at
-distance 0 so that no cycle is out of its reach.  The graph and its
-components are built once per process and shared by graph_report,
-walk_extremes and trace_cycle.  The oracle for that verdict
-is min_short_cycle_cost in tests/oracles.py, a bounded exhaustive scan of
-the simple cycles of each component; only the tests run it.
+cycle therefore proves the weight inequality.  Bellman-Ford certifies
+that there is none, starting every vertex at distance 0 so that no cycle
+is out of its reach.  It runs once per process over all 729 vertices,
+and that one run gives both graph_report's verdict and, through the
+mirror, the potential of walk_extremes.  Tarjan's algorithm splits the
+graph into the strongly connected components graph_report counts.  The
+graph is built once per process and shared by graph_report,
+walk_extremes and trace_cycle.  The oracle for the verdict is
+min_short_cycle_cost in tests/oracles.py, a bounded exhaustive scan of
+simple cycles; only the tests run it.
 """
 
 from __future__ import annotations
@@ -174,26 +178,22 @@ def tarjan_scc(g: CostGraph) -> SCCReport:
     )
 
 
-@functools.cache
-def _components() -> SCCReport:
-    """tarjan_scc of the carry graph, computed once per process."""
-    return tarjan_scc(build_graph())
-
-
-def find_negative_cycle(g: CostGraph, vertices) -> list[int] | None:
+def bellman_ford(g: CostGraph, vertices) -> tuple[dict[int, int] | None, list[int] | None]:
     """Bellman-Ford on the subgraph induced by the given vertex set.
 
     Every vertex starts at distance 0, as if a source were joined to all
     of them, so every negative cycle in the set is in reach.  A round of
-    relaxation that changes nothing proves there is none; if round |V|
-    still relaxes, |V| predecessor steps back from the last vertex it
-    relaxed land on one.  Returns that cycle as a vertex list, or None.
+    relaxation that changes nothing proves there is none and returns
+    (dist, None), dist[v] being the least cost of a walk in the set that
+    ends at v (0 for the empty walk).  If round |V| still relaxes, |V|
+    predecessor steps back from the last vertex it relaxed land on a
+    negative cycle, returned as (None, cycle) with cycle a vertex list.
     """
     vset = set(vertices)
     edges = [(u, v, g.cost[u]) for u in sorted(vset) for v in g.succ[u] if v in vset]
-    if not edges:
-        return None
     dist = dict.fromkeys(vset, 0)
+    if not edges:
+        return dist, None
     pred: dict[int, int] = {}
     for _ in vset:
         x = None  # the last vertex relaxed in this round
@@ -201,13 +201,20 @@ def find_negative_cycle(g: CostGraph, vertices) -> list[int] | None:
             if dist[u] + c < dist[v]:
                 dist[v], pred[v], x = dist[u] + c, u, v
         if x is None:
-            return None
+            return dist, None
     for _ in vset:
         x = pred[x]
     cycle = [x]
     while pred[cycle[-1]] != x:
         cycle.append(pred[cycle[-1]])
-    return cycle[::-1]
+    return None, cycle[::-1]
+
+
+@functools.cache
+def _distances() -> tuple[dict[int, int] | None, list[int] | None]:
+    """bellman_ford over the whole carry graph, run once per process: its
+    cycle is graph_report's verdict, its distances the walk potential."""
+    return bellman_ford(build_graph(), range(NUM_VERTICES))
 
 
 def cycle_cost(g: CostGraph, cycle: list[int]) -> int:
@@ -305,48 +312,36 @@ def _check_cost_mirror(g: CostGraph) -> None:
 
 @functools.cache
 def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The vertices of the nontrivial components, renumbered 0..V-1: their
-    successors (V for one outside them, which no closed walk reaches),
-    their costs, their xi1 digits and the reduced cost of each edge out of
-    them (_reduced_costs).  Checks the cost mirror first."""
+    """The graph's own tables as arrays, succ (int16) and cost, the xi1
+    digit of each vertex, and the reduced cost of each edge under the
+    potential phi(v) = -dist(tau v) of the graph's Bellman-Ford distances
+    (_reduced_costs; the module docstring says why it is one).  Checks
+    the cost mirror first."""
     g = build_graph()
     _check_cost_mirror(g)
-    members = [v for comp in _components().nontrivial for v in comp]
-    local = {v: i for i, v in enumerate(members)}
-    succ = np.array([[local.get(v, len(members)) for v in g.succ[u]] for u in members])
-    cost = np.array([g.cost[v] for v in members], dtype=np.int32)
-    xi1 = np.array([vertex_tuple(v)[1] for v in members], dtype=np.int8)
-    tables = succ, cost, xi1, _reduced_costs(succ, cost)
+    dist, cycle = _distances()
+    if cycle is not None:
+        raise AssertionError(f"no potential: negative cycle {cycle}")
+    phi = -np.array([dist[v] for v in range(NUM_VERTICES)])[::-1]  # tau(v) = 728 - v
+    succ = np.array(g.succ, dtype=np.int16)
+    cost = np.array(g.cost, dtype=np.int8)
+    xi1 = (np.arange(NUM_VERTICES) // 81 % 3).astype(np.int8)
+    tables = succ, cost, xi1, _reduced_costs(succ, cost, phi)
     for table in tables:
         table.setflags(write=False)  # cached: shared by every caller
     return tables
 
 
-def _reduced_costs(succ: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """reduced[u, j] = phi(u) + cost(u) - 2 - phi(succ[u, j]) for an
-    integer potential phi; AssertionError unless every cost is odd and
-    every reduced cost is <= 0.
-
-    phi comes from Bellman-Ford on cost - 2, at most V rounds of
-    phi(v) = max(phi(v), phi(u) + cost(u) - 2) over the edges; the check
-    below is one pass over the edges and does not trust that loop.  The
-    outside vertex V is then lifted by 2, so every edge into it has
-    reduced cost <= -2 and no maximal walk takes one.
-    """
+def _reduced_costs(succ: np.ndarray, cost: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """reduced[u, j] = phi(u) + cost(u) - 2 - phi(succ[u, j]); AssertionError
+    unless every cost is odd and every reduced cost is <= 0.  One pass
+    over the edges, which does not depend on how phi was found."""
     if (cost % 2 == 0).any():
         raise AssertionError(f"even vertex cost at vertices {np.flatnonzero(cost % 2 == 0)}")
-    V = len(cost)
-    phi = np.zeros(V + 1, dtype=np.int64)
-    for _ in range(V):
-        lifted = phi.copy()
-        np.maximum.at(lifted, succ, (phi[:V] + cost - 2)[:, None])
-        if np.array_equal(lifted, phi):
-            break
-        phi = lifted
-    phi[V] += 2
-    reduced = (phi[:V] + cost - 2)[:, None] - phi[succ]
+    reduced = (phi + cost - 2)[:, None] - phi[succ]
     if (reduced > 0).any():
-        raise AssertionError("no potential: some cycle costs more than 2 per step")
+        bad = np.flatnonzero((reduced > 0).any(axis=1))
+        raise AssertionError(f"no potential: reduced cost > 0 out of vertices {bad}")
     return reduced
 
 
@@ -357,7 +352,8 @@ def walk_extremes(n: int) -> WalkExtremes:
     (the module docstring says why the cost extremes are those over
     nonzero x, why the least is 2n minus the largest, and why the largest
     is 2n - 1, on the walks with one edge of reduced cost -1 and the rest
-    0).
+    0).  That largest cost is read off the walks found, as the sum of
+    their vertex costs, and every walk must agree.
 
     The search starts at the head of each -1 edge, follows the 0-edges
     for n - 1 steps and keeps the paths that end at that edge's tail.  A
@@ -366,9 +362,9 @@ def walk_extremes(n: int) -> WalkExtremes:
     x = sum X_j * 3^(r*j).  Computed once per n in a process.
     """
     fam = digits.family_params(n)
-    succ, _, xi1, reduced = _walk_tables()
+    succ, cost, xi1, reduced = _walk_tables()
     tail, col = np.nonzero(reduced == -1)
-    walk = np.column_stack([tail, succ[tail, col]])  # the -1 edge, tail first
+    walk = np.column_stack([tail.astype(succ.dtype), succ[tail, col]])  # the -1 edge, tail first
     for _ in range(n - 1):
         last = walk[:, -1]
         row, col = np.nonzero(reduced[last] == 0)
@@ -376,7 +372,10 @@ def walk_extremes(n: int) -> WalkExtremes:
     walk = walk[walk[:, -1] == walk[:, 0], 1:]  # head .. tail, closed by the -1 edge
     if not len(walk):  # unreachable: the family witness costs 2n - 1
         raise AssertionError(f"no closed walk costs 2n - 1 at n = {n}")
-    max_cost = 2 * n - 1
+    costs = cost[walk].sum(axis=1)
+    if (costs != costs[0]).any():
+        raise AssertionError(f"the walks found cost {sorted(set(costs.tolist()))} at n = {n}")
+    max_cost = int(costs[0])
 
     turns = (np.arange(n)[:, None] + np.arange(n)) % n  # row s: rotation by s
     X = xi1[walk[:, turns].reshape(-1, n)]
@@ -413,7 +412,7 @@ def graph_report() -> GraphReport:
     no-negative-cycle verdict; the tests back it with the bounded
     exhaustive cycle scan."""
     g = build_graph()
-    scc = _components()
+    scc = tarjan_scc(g)
     nontrivial = scc.nontrivial
     sizes = tuple(sorted((len(m) for m in nontrivial), reverse=True))
 
@@ -421,12 +420,8 @@ def graph_report() -> GraphReport:
     pair_tuples = tuple(vertex_tuple(v) for v in pair) if pair else ()
     pair_cost = cycle_cost(g, list(pair)) if pair else None
 
-    neg = None
-    for members in nontrivial:
-        cyc = find_negative_cycle(g, members)
-        if cyc is not None:
-            neg = tuple(cyc)
-            break
+    cycle = _distances()[1]
+    neg = tuple(cycle) if cycle else None
 
     num_vertices, num_edges = len(g.succ), sum(map(len, g.succ))
     checks = [

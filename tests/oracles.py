@@ -15,9 +15,9 @@
   vertex id from its tuple (xi0 most significant), the packing that
   motif_graph's arithmetic on ids must agree with.
 - min_short_cycle_cost: a bounded exhaustive cycle scan, the oracle for
-  the Bellman-Ford no-negative-cycle verdict of motif_graph.graph_report
-  and, with max_len = |V|, for motif_graph.find_negative_cycle on small
-  vertex sets.
+  the single whole-graph Bellman-Ford verdict of motif_graph.graph_report
+  (scanned per nontrivial component, where every cycle lies) and, with
+  max_len = |V|, for motif_graph.bellman_ford on small vertex sets.
 - scc_oracle: the strongly connected components by mutual reachability,
   one set-based DFS per vertex, the oracle for motif_graph.tarjan_scc.
 - closed_form_carries: every carry of the carry lemma from its own closed

@@ -14,17 +14,17 @@ from oracles import (
     vertex_id,
 )
 
-from triweil import digits, proof_lab
+from triweil import digits, motif_graph, proof_lab
 from triweil.motif_graph import (
     _check_cost_mirror,
-    _components,
+    _distances,
     _reduced_costs,
     _walk_tables,
     CostGraph,
     PAIR_VERTICES,
+    bellman_ford,
     build_graph,
     cycle_cost,
-    find_negative_cycle,
     graph_report,
     tarjan_scc,
     trace_cycle,
@@ -86,11 +86,13 @@ def test_scc_decomposition():
     assert {vertex_tuple(v) for v in pair} == set(PAIR_VERTICES)
 
 
-def test_no_negative_cycle_in_any_component():
+def test_no_negative_cycle_in_the_carry_graph():
+    # one run over all 729 vertices; its distances satisfy every edge
     g = build_graph()
-    scc = tarjan_scc(g)
-    for members in scc.nontrivial:
-        assert find_negative_cycle(g, members) is None
+    dist, cycle = bellman_ford(g, range(729))
+    assert cycle is None and (dist, cycle) == _distances()
+    assert all(dist[v] <= dist[u] + g.cost[u] for u in range(729) for v in g.succ[u])
+    assert max(dist.values()) == 0
 
 
 def test_pair_cycle_cost_is_two():
@@ -101,17 +103,19 @@ def test_pair_cycle_cost_is_two():
 
 
 def test_short_cycle_oracle_backs_bellman_ford():
+    # every cycle lies in a nontrivial component, so these scans cover the
+    # whole graph the verdict is about
     g = build_graph()
-    scc = tarjan_scc(g)
-    for members in scc.nontrivial:
+    assert _distances()[1] is None
+    for members in tarjan_scc(g).nontrivial:
         best = min_short_cycle_cost(g, members, max_len=8)
         assert best is not None and best >= 0
 
 
 def test_bellman_ford_finds_synthetic_negative_cycle():
     g = CostGraph(succ=((1,), (0,)), cost=(-1, -1))
-    cyc = find_negative_cycle(g, [0, 1])
-    assert cyc is not None
+    dist, cyc = bellman_ford(g, [0, 1])
+    assert dist is None and cyc is not None
     assert cycle_cost(g, cyc) < 0
 
 
@@ -127,17 +131,17 @@ def test_tarjan_singleton_is_nontrivial_only_with_a_self_loop():
 def test_bellman_ford_reads_only_the_given_vertices():
     # a negative 2-cycle on {0, 1}, a nonnegative one on {2, 3}, and 1 -> 2
     g = CostGraph(succ=((1,), (0, 2), (3,), (2,)), cost=(-1, -1, 0, 1))
-    assert find_negative_cycle(g, [2, 3]) is None
-    cyc = find_negative_cycle(g, [0, 1, 2, 3])
-    assert cyc is not None and set(cyc) == {0, 1}
+    assert bellman_ford(g, [2, 3]) == ({2: 0, 3: 0}, None)
+    dist, cyc = bellman_ford(g, [0, 1, 2, 3])
+    assert dist is None and set(cyc) == {0, 1}
     assert cycle_cost(g, cyc) == -2
 
 
 def test_bellman_ford_reaches_a_cycle_no_single_source_reaches():
     # vertex 0 reaches only itself, so a search from 0 alone misses {1, 2}
     g = CostGraph(succ=((0,), (2,), (1,)), cost=(1, -1, -1))
-    cyc = find_negative_cycle(g, [0, 1, 2])
-    assert cyc is not None and set(cyc) == {1, 2}
+    dist, cyc = bellman_ford(g, [0, 1, 2])
+    assert dist is None and set(cyc) == {1, 2}
     assert cycle_cost(g, cyc) == -2
 
 
@@ -169,10 +173,16 @@ def test_bellman_ford_matches_exhaustive_cycle_scan_on_random_subsets():
         g = _random_graph(rng, rng.randint(1, 10))
         verts = rng.sample(range(len(g.succ)), rng.randint(1, min(7, len(g.succ))))
         best = min_short_cycle_cost(g, verts, max_len=len(verts))
-        cyc = find_negative_cycle(g, verts)
-        assert (cyc is not None) == (best is not None and best < 0)
+        dist, cyc = bellman_ford(g, verts)
+        assert (cyc is not None) == (best is not None and best < 0) == (dist is None)
         if cyc is not None:
             assert set(cyc) <= set(verts) and cycle_cost(g, cyc) < 0
+        else:  # dist solves dist(v) = min(0, dist(u) + cost(u) over edges u -> v)
+            edges = [(u, v, g.cost[u]) for u in verts for v in g.succ[u] if v in verts]
+            assert set(dist) == set(verts)
+            assert all(
+                dist[v] == min([0] + [dist[u] + c for u, w, c in edges if w == v]) for v in verts
+            )
 
 
 def test_cycle_cost_raises_on_a_non_edge():
@@ -280,41 +290,14 @@ def test_graph_is_built_once_and_immutable():
     assert graph_report() == graph_report()
 
 
-def test_walk_tables_agree_with_graph_report():
-    # the DP's vertices are those of the two nontrivial components; each row
-    # holds the member's successors in local ids (V for one outside them),
-    # and those successor pairs split into the same two components
+def test_walk_tables_are_the_graph_tables():
+    # one row per vertex of the carry graph, in its own ids
     g = build_graph()
-    rep = graph_report()
-    succ, cost, xi1, _ = _walk_tables()
-    V = len(succ)
-    assert V == sum(rep.nontrivial_sizes) == 473
-    assert len(cost) == V and len(xi1) == V
-    members = [v for comp in tarjan_scc(g).nontrivial for v in comp]
-    local = {v: i for i, v in enumerate(members)}
-    for i, u in enumerate(members):
-        assert succ[i].tolist() == [local.get(v, V) for v in g.succ[u]]
-        assert cost[i] == g.cost[u] and xi1[i] == vertex_tuple(u)[1]
-    comp = list(range(V + 1))  # union-find over the successor pairs
-
-    def root(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    for v in range(V):
-        for w in succ[v]:
-            if w != V:
-                comp[root(w)] = root(v)
-    groups: dict[int, list[int]] = {}
-    for v in range(V):
-        groups.setdefault(root(v), []).append(v)
-    sizes = tuple(sorted(map(len, groups.values()), reverse=True))
-    assert sizes == rep.nontrivial_sizes == (471, 2)
-    pair = next(g for g in groups.values() if len(g) == 2)
-    assert int(cost[pair].sum()) == rep.pair_cycle_cost
-    assert sorted(xi1[pair].tolist()) == sorted(t[1] for t in rep.pair_component)
+    succ, cost, xi1, reduced = _walk_tables()
+    assert succ.dtype == np.int16 and succ.tolist() == [list(t) for t in g.succ]
+    assert cost.tolist() == list(g.cost)
+    assert xi1.tolist() == [vertex_tuple(v)[1] for v in range(729)]
+    assert reduced.shape == succ.shape == (729, 3)
 
 
 def test_walk_tables_are_read_only():
@@ -337,38 +320,76 @@ def test_best_walks_match_per_vertex_oracle(n):
         assert len(ext.minimizers) == {15: 3615, 17: 8585, 19: 20121, 21: 46641}[n]
 
 
+def _potential() -> np.ndarray:
+    """phi(v) = -dist(728 - v) from the whole-graph Bellman-Ford distances."""
+    dist, _ = bellman_ford(build_graph(), range(729))
+    return -np.array([dist[728 - v] for v in range(729)])
+
+
 def test_potential_certifies_the_walk_tables():
-    # reduced costs <= 0 with 227 edges at -1 and 549 at 0; every edge out of
-    # the components sits at -2 or below
+    # reduced costs <= 0, with 246 edges at -1 and 627 at 0
     succ, cost, _, reduced = _walk_tables()
-    assert reduced.shape == succ.shape and (reduced <= 0).all()
-    assert ((reduced == -1).sum(), (reduced == 0).sum()) == (227, 549)
-    assert (reduced[succ == len(cost)] <= -2).all()
+    assert (reduced == _reduced_costs(succ, cost, _potential())).all()
+    assert (reduced <= 0).all()
+    assert ((reduced == -1).sum(), (reduced == 0).sum()) == (246, 627)
 
 
 def test_potential_check_raises_on_even_cost_or_heavy_cycle():
     succ, cost, _, _ = _walk_tables()
+    phi = _potential()
     loop = next(v for v in range(len(cost)) if v in succ[v])  # a self-loop of cost 1
     assert cost[loop] == 1
     even = cost.copy()
     even[loop] += 1
     with pytest.raises(AssertionError, match="even vertex cost"):
-        _reduced_costs(succ, even)
+        _reduced_costs(succ, even, phi)
     heavy = cost.copy()
     heavy[loop] += 2  # the loop now costs 3 per step, still odd
-    with pytest.raises(AssertionError, match="more than 2 per step"):
-        _reduced_costs(succ, heavy)
+    with pytest.raises(AssertionError, match="reduced cost > 0"):
+        _reduced_costs(succ, heavy, phi)
+
+
+def test_negative_loop_fails_the_verdict_and_the_potential(monkeypatch):
+    # vertex 0's loop at -1 and its mirror 728's at 3: the mirror and the
+    # parity hold, so one defect breaks both bounds of the walk cost
+    g = build_graph()
+    cost = list(g.cost)
+    cost[0], cost[728] = -1, 3
+    bad = dataclasses.replace(g, cost=tuple(cost))
+    _check_cost_mirror(bad)
+    dist, cycle = bellman_ford(bad, range(729))
+    assert dist is None and 0 in cycle and cycle_cost(bad, cycle) < 0
+    succ = _walk_tables()[0]
+    with pytest.raises(AssertionError, match="reduced cost > 0"):
+        _reduced_costs(succ, np.array(cost), _potential())
+    # the same defect through the cached tables of one process
+    monkeypatch.setattr(motif_graph, "build_graph", lambda: bad)
+    monkeypatch.setattr(motif_graph, "_distances", lambda: (dist, cycle))
+    rep = graph_report()
+    assert not rep.passed and rep.negative_cycle == tuple(cycle)
+    with pytest.raises(AssertionError, match="negative cycle"):
+        _walk_tables.__wrapped__()
+
+
+def test_walk_cost_is_read_off_the_tables(monkeypatch):
+    # raise one vertex cost on the witness walk by 2 (it stays odd): the
+    # walks found no longer agree on the largest cost
+    n = 7
+    succ, cost, xi1, reduced = _walk_tables()
+    heavy = cost.copy()
+    heavy[trace_cycle(n, digits.family_witness(n)).walk[0]] += 2
+    monkeypatch.setattr(motif_graph, "_walk_tables", lambda: (succ, heavy, xi1, reduced))
+    with pytest.raises(AssertionError, match="the walks found cost"):
+        walk_extremes.__wrapped__(n)
 
 
 def test_reduced_costs_sum_along_traced_walks():
     # a closed walk of n steps costs 2n plus its reduced costs
     succ, _, _, reduced = _walk_tables()
-    members = [v for comp in _components().nontrivial for v in comp]
-    local = {v: i for i, v in enumerate(members)}
     rng = random.Random(15)
     for _ in range(200):
         out = trace_cycle(15, rng.randrange(1, 3**15 - 1))
-        walk = [local[v] for v in out.walk]
+        walk = list(out.walk)
         total = sum(
             int(reduced[u, succ[u].tolist().index(v)])
             for u, v in zip(walk, walk[1:] + walk[:1])

@@ -23,16 +23,18 @@ def test_no_assert_statements_in_src():
 def test_report_under_optimize_matches_golden():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("TRIWEIL_CEILING", None)
-    for argv, golden in [
-        (("divisibility", "--n", "7"), "divisibility_n_7.json"),
-        (("proof-check", "--n", "7"), "proof-check_n_7.json"),
-        (("kernel", "--n", "7", "--r", "2"), "kernel_n_7_r_2.json"),
-        (("graph-verify",), "graph-verify.json"),
-        (("--ceiling", "14348907", "divisibility", "--n", "15"), "divisibility_n_15.json"),
-        (("--ceiling", "14348907", "proof-check", "--n", "15"), "proof-check_n_15.json"),
+    golden = ROOT / "perfbench" / "golden"
+    for argv, path in [
+        (("divisibility", "--n", "7"), golden / "divisibility_n_7.json"),
+        (("proof-check", "--n", "7"), golden / "proof-check_n_7.json"),
+        (("kernel", "--n", "7", "--r", "2"), golden / "kernel_n_7_r_2.json"),
+        (("graph-verify",), golden / "graph-verify.json"),
+        (("--ceiling", "14348907", "divisibility", "--n", "15"), golden / "divisibility_n_15.json"),
+        (("--ceiling", "14348907", "proof-check", "--n", "15"), golden / "proof-check_n_15.json"),
+        (("verify-all",), ROOT / "tests" / "golden" / "verify-all.json"),
     ]:
         out = subprocess.run(
             [sys.executable, "-O", "-m", "triweil.cli", "--json", *argv],
             env=env, capture_output=True, check=True, timeout=60,
         ).stdout
-        assert out == (ROOT / "perfbench" / "golden" / golden).read_bytes()
+        assert out == path.read_bytes(), argv
