@@ -13,10 +13,11 @@ once, for the last carry c_{n-1}, whose numerator sum_j (s_j - t_j) * b^j
 is also the congruence test, and derives the others in one pass from
 c_i = (s_i + c_{i-1} - t_i)/b: one sum over integers of n digits and n
 small divisions, where evaluating every closed form takes n such sums.
+carry_sequence is the lemma alone: no walk runs it.
 
 For the family exponent the lemma makes each nonzero residue one closed
-walk in the carry graph (the argument is in the motif_graph docstring,
-and motif_graph.trace_cycle derives the walk).  verify_divisibility reads
+walk in the carry graph (motif_graph's docstring has the argument, and
+trace_cycle reads the walk off the graph).  verify_divisibility reads
 both weight extremes from those walks; weight_sums, the exhaustive table
 scan, serves general p and d and is the tests' oracle for the family.
 """

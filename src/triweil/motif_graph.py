@@ -14,22 +14,27 @@ Walks and residues.  Fix odd n, r = 4^-1 mod n and d = 3^r + 2, and
 write X_j = x_{r*j} for the digits of a residue x mod 3^n - 1.  Then
 d*x = sum_j (2*X_j + X_{j-1}) * 3^(r*j), and the carry out of position
 r*j lands at r*j + 1 = r*(j + 4), so the digits Y_j = (d*x)_{r*j} obey
-Y_j + 3*C_j = 2*X_j + X_{j-1} + C_{j-4}.  The carries C are unique by the
-carry lemma (digits) and lie in {0,1,2} (trace_cycle asserts both), so
-the vertices T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1})
-form a closed walk of length n whose cost is n + w(d*x) - w(x).
-Conversely a closed walk of length n gives X_j = xi1 of T_j and carries
-C_j = floor((X_{j-1} + 2*X_j + C_{j-4})/3), hence digits Y_j of d*x for
-x = sum_j X_j * 3^(r*j).  Two digit strings in {0,1,2}^n name the same
-residue only for zero (all 0s and all 2s), so each nonzero residue has
-exactly one walk and the zero residue has two: X all 0 with carries 0,
-and X all 2 with carries 2, each of cost n.  There are 3^n closed walks
-of length n in all, the trace of A^n for the adjacency matrix A.
-trace_cycle is the one code that turns a residue into its walk, and the
-rest read the walk: as -d*x has digits Z_j = 2 - Y_j, the motif balance
-2 + 3*C_j = 2*X_j + X_{j-1} + Z_j + C_{j-4} of proof_lab.motif_word is
-the recurrence above, with X_{j-1}, X_j and C_{j-4} read off T_j and C_j
-off T_{j+1}.
+Y_j + 3*C_j = 2*X_j + X_{j-1} + C_{j-4}, the carries C being unique by
+the carry lemma (digits).  A closed walk of length n, with vertices
+T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1}), gives X_j = xi1
+of T_j and carries C_j = floor((X_{j-1} + 2*X_j + C_{j-4})/3), hence
+digits Y_j of d*x for x = sum_j X_j * 3^(r*j), and costs n + w(d*x) - w(x).
+Two digit strings in {0,1,2}^n name the same residue only for zero (all
+0s and all 2s), and the two strings X of zero force carries 0 and 2, so
+each of the 3^n strings X has at most one walk, and, as there are 3^n
+closed walks of length n (the trace of A^n for the adjacency matrix A),
+exactly one: each nonzero residue has one walk, and zero two of cost n.
+trace_cycle, the one code that turns a residue into its walk, reads it
+off succ, where successor k of a vertex has xi1' = k: from T_0 with all
+carries 0 it follows X lap after lap until a lap ends where it began.
+The carry rule is monotone in g0, so the map from one lap's carry window
+(C_{-4}, .., C_{-1}) in {0,1,2}^4 to the next lap's is monotone: from 0s
+the window only rises, at most 8 times, to the least closed walk with
+these X, for x != 0 its only one.  trace_cycle checks the digits Y_j of
+its steps against d*x, and its cost.  The rest read the walk: as -d*x
+has digits Z_j = 2 - Y_j, the motif balance of proof_lab.motif_word,
+2 + 3*C_j = 2*X_j + X_{j-1} + Z_j + C_{j-4}, is the recurrence above,
+with X_{j-1}, X_j and C_{j-4} read off T_j and C_j off T_{j+1}.
 
 The extremes follow.  x = -1 has weight 2n - 1 and d*x = -d has weight
 2n - 3, so some walk costs n - 2; the family witness (digits) costs
@@ -239,14 +244,11 @@ class TraceResult:
 def trace_cycle(n: int, x: int) -> TraceResult:
     """Trace the carry walk of one nonzero residue through the graph.
 
-    The one derivation of a residue's walk.  Expands x and Y = d*x once,
-    builds X_j = x_{r*j} and the carries C_j = c_{r*j} of 2*x_i + x_{i-r}
-    against the digits of d*x (digits.carry_sequence: one closed-form
-    carry, then the carry recurrence, O(n) steps in all), and the vertex
-    sequence T_j = (X_{j-1}, X_j, C_{j-4}, C_{j-3}, C_{j-2}, C_{j-1}),
-    each step costing 1 + 2*(X_j - C_{j-4}).
-    Asserts that every carry lies in {0,1,2}, that every step is a graph
-    edge, and that the total cost equals n + w(d*x) - w(x).
+    The one derivation of a residue's walk: read off succ lap by lap from
+    all carries 0 (the module docstring says why lap 9 at the latest
+    closes).  Raises AssertionError if none does, if the digits
+    xi0 + 2*xi1 + g0 - 3*g3' of its steps are not those of d*x, or if it
+    does not cost n + w(d*x) - w(x).
     """
     return _trace(n, x)
 
@@ -259,33 +261,29 @@ def _trace(n: int, x: int) -> TraceResult:
     x %= fam.m
     if x == 0:
         raise ValueError("x must be a nonzero residue")
-    r = fam.r
     xd = digits.canonical_digits(x, 3, n)
-    yd = digits.canonical_digits(fam.d * x, 3, n)
-    c = digits.carry_sequence([2 * xd[i] + xd[(i - r) % n] for i in range(n)], yd, 3, n)
-    X = [xd[(r * j) % n] for j in range(n)]
-    C = [c[(r * j) % n] for j in range(n)]
-    if any(cj not in (0, 1, 2) for cj in C):
-        raise AssertionError(f"carry out of range for x = {x}: {C}")
-
-    # the id of T_j, base 3 with X_{j-1} most significant
-    walk = [
-        243 * X[j - 1] + 81 * X[j]
-        + 27 * C[(j - 4) % n] + 9 * C[(j - 3) % n] + 3 * C[(j - 2) % n] + C[j - 1]
-        for j in range(n)
-    ]
+    X = [xd[(fam.r * j) % n] for j in range(n)]
     g = build_graph()
     succ, cost = g.succ, g.cost
-    for u, v in zip(walk, walk[1:] + walk[:1]):
-        if v not in succ[u]:
-            raise AssertionError(f"non-edge step {u} -> {v} for x = {x}")
+    v = 243 * X[-1] + 81 * X[0]  # T_0 with every carry 0
+    for _ in range(9):  # the carry window rises at most 8 times
+        walk = [v]
+        for k in X[1:]:
+            walk.append(succ[walk[-1]][k])
+        v = succ[walk[-1]][X[0]]
+        if v == walk[0]:
+            break
+    else:
+        raise AssertionError(f"the walk of x = {x} does not close within 9 laps")
+    yd = digits.canonical_digits(fam.d * x, 3, n)
+    Y = [u // 243 + 2 * (u // 81 % 3) + u // 27 % 3 - 3 * (nxt % 3)
+         for u, nxt in zip(walk, walk[1:] + walk[:1])]
+    if Y != [yd[(fam.r * j) % n] for j in range(n)]:
+        raise AssertionError(f"walk digits {Y} are not those of d*x for x = {x}")
     total = sum(cost[u] for u in walk)
-
     expected = n + sum(yd) - sum(xd)
     if total != expected:
-        raise AssertionError(
-            f"walk cost {total} != n + w(dx) - w(x) = {expected} for x = {x}"
-        )
+        raise AssertionError(f"walk cost {total} != n + w(dx) - w(x) = {expected} for x = {x}")
     return TraceResult(n=n, x=x, walk=tuple(walk), cost=total)
 
 

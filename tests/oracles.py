@@ -30,8 +30,9 @@
 - family_carries_oracle: the digits of a family residue x and of -d*x by
   repeated division, and the closed-form carries of 2*x_i + x_{i-r} + z_i
   against the all-2 string; the tests rebuild from them the walks of
-  motif_graph.trace_cycle (which carries against the digits of d*x) and
-  the motif words of proof_lab.motif_word.
+  motif_graph.trace_cycle (which reads its walk off the graph's
+  successor table and computes no carry) and the motif words of
+  proof_lab.motif_word.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""Every benchmark report with n <= 11, and the verify-all report, is
-byte-identical to its golden.
+"""Every benchmark report, and the verify-all report, is byte-identical
+to its golden.
 
 The goldens in perfbench/golden/ are the `--json` reports the benchmark
-compares against; this module only reads them.  tests/golden/verify-all.json
-is the `--json verify-all` report at the default ceiling.
+compares against; this module only reads them.  It runs them at the
+benchmark's ceiling, 3^15, which admits the n = 15 reports; no report
+states its ceiling.  tests/golden/verify-all.json is the `--json
+verify-all` report at the default ceiling.
 """
 
 from pathlib import Path
@@ -27,12 +29,17 @@ COMMANDS = [
     ("kernel", "--n", "11", "--r", "3"),
     ("divisibility", "--n", "7"),
     ("proof-check", "--n", "7"),
+    ("divisibility", "--n", "15"),
+    ("proof-check", "--n", "15"),
     ("graph-verify",),
 ]
 
+BENCHMARK_CEILING = str(3**15)
+
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-def test_report_matches_golden(capsys, argv):
+def test_report_matches_golden(capsys, monkeypatch, argv):
+    monkeypatch.setenv(CEILING_ENV_VAR, BENCHMARK_CEILING)
     golden = GOLDEN / ("_".join(a.lstrip("-") for a in argv) + ".json")
     assert main(["--json", *argv]) == 0
     assert capsys.readouterr().out.encode() == golden.read_bytes()

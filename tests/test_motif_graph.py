@@ -244,25 +244,65 @@ def test_trace_cycle_matches_oracle_carries_exhaustive(n):
         assert (out.walk, out.cost) == _oracle_walk(n, x), x
 
 
+def _extreme_residues(n: int) -> list[int]:
+    """1, -1, all-ones, 3^((n-1)/2) and the family witness: the residues
+    with the longest carry chains."""
+    m = 3**n - 1
+    return [1, m - 1, m // 2, 3 ** ((n - 1) // 2), digits.family_witness(n)]
+
+
 def test_trace_cycle_matches_oracle_carries_n15():
     rng = random.Random(15)
-    for _ in range(200):
-        x = rng.randrange(1, 3**15 - 1)
+    for x in [rng.randrange(1, 3**15 - 1) for _ in range(200)] + _extreme_residues(15):
         out = trace_cycle(15, x)
         assert (out.n, out.x) == (15, x)
         assert (out.walk, out.cost) == _oracle_walk(15, x), x
 
 
 def test_trace_cycle_at_n_1001():
-    # the carries come in one pass: a walk of 1001 steps is milliseconds
+    # each lap of the walk is n successor lookups: 1001 steps are milliseconds
     n = 1001
     d, m = digits.family_params(n).d, 3**n - 1
     rng = random.Random(1001)
-    for _ in range(3):
-        x = rng.randrange(1, m)
+    for x in [rng.randrange(1, m) for _ in range(3)] + _extreme_residues(n):
         out = trace_cycle(n, x)
         assert len(out.walk) == n and all(0 <= v < 729 for v in out.walk)
         assert out.cost == n + sum(ternary(d * x, n)) - sum(ternary(x, n))
+
+
+def _trace_on(monkeypatch, g: CostGraph, n: int, x: int):
+    monkeypatch.setattr(motif_graph, "build_graph", lambda: g)
+    return trace_cycle(n, x)
+
+
+def test_trace_cycle_catches_a_wrong_cost(monkeypatch):
+    n, x = 7, digits.family_witness(7)
+    g = build_graph()
+    v = trace_cycle(n, x).walk[-1]
+    cost = g.cost[:v] + (g.cost[v] + 2,) + g.cost[v + 1 :]  # still odd
+    with pytest.raises(AssertionError, match="walk cost"):
+        _trace_on(monkeypatch, CostGraph(succ=g.succ, cost=cost), n, x)
+
+
+def test_trace_cycle_catches_a_wrong_successor_order(monkeypatch):
+    n, x = 7, digits.family_witness(7)
+    g = build_graph()
+    v = trace_cycle(n, x).walk[0]
+    succ = g.succ[:v] + (g.succ[v][1:] + g.succ[v][:1],) + g.succ[v + 1 :]
+    with pytest.raises(AssertionError, match="walk digits"):
+        _trace_on(monkeypatch, CostGraph(succ=succ, cost=g.cost), n, x)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_trace_cycle_catches_a_wrong_carry_rule(monkeypatch, n):
+    # g3' = (g0 + 1) mod 3 in place of floor((xi0 + 2*xi1 + g0)/3): no lap closes
+    def successors(u):
+        base = 243 * (u // 81 % 3) + 3 * (u % 27) + (u // 27 % 3 + 1) % 3
+        return (base, base + 81, base + 162)
+
+    g = CostGraph(succ=tuple(map(successors, range(729))), cost=build_graph().cost)
+    with pytest.raises(AssertionError, match="within 9 laps"):
+        _trace_on(monkeypatch, g, n, digits.family_witness(n))
 
 
 def test_trace_cycle_rejects_zero_and_even_n():
