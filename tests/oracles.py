@@ -6,6 +6,9 @@
   (no multiplication matrices, no doubling, no linear tables) and never
   reads a FieldCtx table, so a wrong table entry shows up as a
   disagreement.
+- weil_sum_oracle: the trace-fiber counts of one Weil sum on a RefField,
+  one x at a time, each trace the sum of its n Frobenius conjugates; the
+  oracle for weil.weil_sum and, through it, for weil.spectrum.
 - linear_table_naive: the table of an F_p-linear map on codes, one code
   at a time with Python ints, the oracle for triweil.ff._linear_table.
 - kernel_count_naive and on_curve: the O(q^2) scan of the trilinear kernel
@@ -116,6 +119,17 @@ class RefField:
         if total >= self.p:
             raise AssertionError(f"trace of {x} left the prime field")
         return total
+
+
+@functools.cache
+def weil_sum_oracle(F: RefField, d: int, a: int) -> tuple[int, ...]:
+    """#{x in F : Tr(x^d) - Tr(a*x) = t} for t in F_p, one x at a time;
+    a*x is one polynomial product.  Cached, as the GF(27) spectrum oracle
+    and the per-coefficient test ask for the same sums."""
+    counts = [0] * F.p
+    for x in range(F.q):
+        counts[(F.trace(F.pow(x, d)) - F.trace(F.poly_mul(a, x))) % F.p] += 1
+    return tuple(counts)
 
 
 def linear_table_naive(images, p: int, width: int) -> list[int]:

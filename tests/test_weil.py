@@ -2,11 +2,12 @@
 mini-field oracle for the smallest interesting field."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import ref_of
+from oracles import ref_of, weil_sum_oracle
 
 from triweil import weil
 from triweil.digits import family_params
@@ -29,9 +30,7 @@ def oracle_spectrum_q27(d):
     F = ref_of(build_field(3, 3))  # reads the modulus and generator only
     spec = {}
     for a in range(1, F.q):
-        fibers = [0, 0, 0]
-        for x in range(F.q):
-            fibers[(F.trace(F.pow(x, d)) - F.trace(F.poly_mul(a, x))) % 3] += 1
+        fibers = weil_sum_oracle(F, d, a)
         assert fibers[1] == fibers[2]  # d odd over GF(3^n) always rationalizes
         val = fibers[0] - fibers[1]
         spec[val] = spec.get(val, 0) + 1
@@ -42,6 +41,22 @@ def test_spectrum_against_independent_oracle_q27():
     ctx = build_field(3, 3)
     for d in (1, 5, 7, 11):
         assert spectrum(ctx, d).entries == oracle_spectrum_q27(d)
+
+
+@pytest.mark.parametrize(
+    "p, n, ds",
+    [
+        (3, 3, (1, 5, 7, 11)),
+        (2, 5, (3,)),
+        (7, 2, (5,)),  # fibers that are not integer
+    ],
+)
+def test_weil_sum_against_independent_oracle(p, n, ds):
+    ctx = build_field(p, n)
+    F = ref_of(ctx)
+    for d in ds:
+        for a in range(ctx.q):  # a = 0 included
+            assert weil_sum(ctx, d, a).fiber_counts == weil_sum_oracle(F, d, a), (d, a)
 
 
 @pytest.mark.parametrize(
@@ -57,6 +72,7 @@ def test_spectrum_against_independent_oracle_q27():
         (7, 3, 5),
         (7, 2, 5),
         (11, 1, 3),
+        (3, 9, 2189),  # the family at n = 9: 19682 sums
         (131, 1, 3),  # traces fit uint8, their differences plus p do not
         (257, 1, 5),  # traces need uint16
     ],
@@ -92,9 +108,23 @@ def test_weil_sum_tables_shared_per_field_and_exponent():
     first = [weil_sum(ctx5, 29, a) for a in range(1, 40)]
     assert _trace_of_powers(ctx5, 29) is _trace_of_powers(ctx5, 29)
     assert not any(t.flags.writeable for t in _trace_of_powers(ctx5, 29))
+    assert all(t.itemsize == 1 for t in _trace_of_powers(ctx5, 29))  # p + Tr fits uint8
     weil_sum(ctx5, 11, 3)
     weil_sum(ctx7, 29, 3)  # each switch of (ctx, d) replaces the kept tables
     assert [weil_sum(ctx5, 29, a) for a in range(1, 40)] == first
+
+
+def test_weil_sum_allocates_nothing_wide_per_call():
+    # at most two one-byte arrays of q - 1 entries alive at once, nothing int64
+    ctx = build_field(3, 9)
+    weil_sum(ctx, 2189, 1)  # builds and keeps the tables
+    tracemalloc.start()
+    try:
+        weil_sum(ctx, 2189, 12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * ctx.q, peak
 
 
 def test_sum_at_zero_vanishes():
