@@ -28,8 +28,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ff import FieldError, check_ceiling, code_digits
 from .report import Check, Verdict
 
@@ -101,11 +99,13 @@ def weight(x: int, b: int, n: int) -> int:
 
 def _weight_dtype(b: int, n: int) -> np.dtype:
     # weights are below (b-1)*n, so this dtype holds any sum or difference of two
+    import numpy as np
     return np.min_scalar_type(-2 * (b - 1) * n)
 
 
 def weight_table(b: int, n: int) -> np.ndarray:
     """weight(x) for every residue x in 0..b^n-2, built one digit at a time."""
+    import numpy as np
     dtype = _weight_dtype(b, n)
     w = np.zeros(1, dtype=dtype)
     for _ in range(n):
@@ -164,6 +164,7 @@ def weight_sums(
     the walk route of motif_graph gives the same numbers without a table,
     and the tests hold the two equal.
     """
+    import numpy as np
     if n < 1:  # as build_field does: p^n - 1 is no modulus for n < 1
         raise FieldError(f"extension degree must be >= 1, got {n}")
     if p < 2:  # before the ceiling, whose exact test needs p >= 0

@@ -37,6 +37,10 @@ dtype that holds p - 1 (uint8 for p < 256), so a field takes 9 bytes per
 element.  An int32 log times an exponent can pass 2^31, and NumPy keeps
 int32 times a Python int in int32, so callers take such products on
 int64 logs, one block at a time.
+
+NumPy is imported by the functions that build or read tables, here and
+in weil, kernel_curve and digits, not by the modules: the carry-graph
+commands build no field and run without it.
 """
 
 from __future__ import annotations
@@ -45,8 +49,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 DEFAULT_Q_CEILING = 3**13
 EXP_BLOCK = 1 << 12  # powers of the generator per gather when filling exp
@@ -89,6 +91,7 @@ def _companion(modulus, p: int) -> np.ndarray:
     """The matrix of alpha for a monic modulus: alpha^k * alpha = alpha^(k+1),
     and alpha^n = -sum modulus[j] * alpha^j.  A stack of moduli (one per
     row) gives the stack of their matrices."""
+    import numpy as np
     modulus = np.asarray(modulus, dtype=np.int64)
     n = modulus.shape[-1] - 1
     C = np.zeros(modulus.shape[:-1] + (n, n), dtype=np.int64)
@@ -104,6 +107,7 @@ def _powers(v, M: np.ndarray, p: int, count: int) -> np.ndarray:
     M^j squares before each doubling but the first.  For M = C and v the
     digits of y, n rows are y's matrix.
     """
+    import numpy as np
     rows = np.asarray(v, dtype=np.int64)[None]
     while len(rows) < count:
         if len(rows) > 1:
@@ -114,6 +118,7 @@ def _powers(v, M: np.ndarray, p: int, count: int) -> np.ndarray:
 
 def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
     """M^e mod p for e >= 0, by square-and-multiply (for a stack, each)."""
+    import numpy as np
     result = np.eye(M.shape[-1], dtype=np.int64)
     while e:
         if e & 1:
@@ -126,6 +131,7 @@ def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
 def is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Monic mod is irreducible iff x^(p^n) = x mod it and, for every prime
     l | n, gcd(x^(p^(n/l)) - x, mod) is constant (see _irreducible)."""
+    import numpy as np
     return bool(_irreducible(np.array([mod]), p)[0])
 
 
@@ -140,6 +146,7 @@ def _irreducible(mods: np.ndarray, p: int) -> np.ndarray:
     second leg asks, for each prime l | n, that x^(p^(n/l)) - x be such a
     unit, i.e. prime to the modulus.
     """
+    import numpy as np
     C = _companion(mods, p)
     n = C.shape[-1]
     q = p**n
@@ -161,6 +168,7 @@ def code_digits(code: int, p: int, n: int) -> tuple[int, ...]:
 def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
     # monic degree-n polynomials ordered by their packed lower-coefficient
     # code, tested 32 at a time
+    import numpy as np
     for start in range(0, p**n, 32):
         codes = range(start, min(start + 32, p**n))
         mods = np.array([code_digits(code, p, n) + (1,) for code in codes], dtype=np.int64)
@@ -306,6 +314,7 @@ def build_field(p: int, n: int, *, ceiling: int | None = None) -> FieldCtx:
 
 @functools.lru_cache(maxsize=None)
 def _build_field(p: int, n: int) -> FieldCtx:
+    import numpy as np
     q = p**n
     modulus = _smallest_modulus(p, n)
 
@@ -357,6 +366,7 @@ def _build_field(p: int, n: int) -> FieldCtx:
 def _index_dtype(q: int) -> np.dtype:
     """The dtype of exp and log: int32 while every code plus one fits in
     it, int64 above that."""
+    import numpy as np
     return np.dtype(np.int32 if q < 2**31 else np.int64)
 
 
@@ -372,6 +382,7 @@ def _linear_table(images, p: int, dtype=None) -> np.ndarray:
     time, in dtype (which must hold every code; by default the narrowest
     unsigned dtype that does), so no q-sized array is divided or cast.
     """
+    import numpy as np
     width = len(images[0])
     if dtype is None:
         dtype = np.min_scalar_type(p**width - 1)
@@ -395,6 +406,7 @@ def _plane_step(plane: np.ndarray, c: int, p: int) -> np.ndarray:
     where the sum is below p the subtraction wraps around above it, and the
     smaller of the two is the reduced digit.
     """
+    import numpy as np
     grown = (np.arange(p) * c % p).astype(plane.dtype)[:, None] + plane
     np.minimum(grown, grown - plane.dtype.type(p), out=grown)
     return grown.ravel()

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ff import FieldCtx
 from .report import Check, Verdict
 
@@ -33,6 +31,7 @@ LOG_BLOCK = 1 << 15  # discrete logs per array step
 
 def _log_blocks(ctx: FieldCtx):
     """The logs 0..q-2 of the nonzero elements, as int64 blocks."""
+    import numpy as np
     Q = ctx.q - 1
     for start in range(0, Q, LOG_BLOCK):
         yield np.arange(start, min(start + LOG_BLOCK, Q), dtype=np.int64)
@@ -53,6 +52,7 @@ def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
     Z is -1.  As g divides q - 1, the test needs the logs only mod g.
     Each block of logs is one array step.
     """
+    import numpy as np
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
     frob_r, frob_2r = pow(p, r, Q), pow(p, 2 * r, Q)
     g = math.gcd((frob_r + frob_2r - 2) % Q, Q)
@@ -80,6 +80,7 @@ def _eta_power_plus_one(ctx: FieldCtx, e: int) -> tuple[int, int]:
     parity of Z, and w^e = -1 exactly where Z is -1 (eta(0) = 0), one
     block of logs at a time.  Odd characteristic only.
     """
+    import numpy as np
     Q = ctx.q - 1
     total = zeros = 0
     for lw in _log_blocks(ctx):

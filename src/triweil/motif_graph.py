@@ -58,10 +58,17 @@ reduced cost -1 and the rest 0: these edges form the critical graph of
 the potential, the certificate of Karp's characterization of the cycle
 mean.  The family witness costs 2n - 1, so a path search along the
 0-edges finds every maximal walk and with them the weight-sum
-minimizers.  No table of 3^n entries is built; the exhaustive
-digit-weight scan (digits.weight_sums) is the tests' oracle, and
-tests/oracles.py keeps a (max, count) walk DP as the oracle of the
-largest cost and of the number of walks attaining it.
+minimizers.  It meets in the middle: 0-edge paths of about n/2 steps
+forward from the head of each -1 edge meet paths of the other steps
+backward from its tail, on (tail, meeting vertex), and the paths carry
+the sums a walk's residue, cost and weight are made of, not their
+vertices.  Only one rotation of each walk is searched, the one that
+starts at the head of its -1 edge: rotating a walk by s steps rotates
+its digits X_j, so it multiplies its residue by 3^(-r*s) mod 3^n - 1.
+No table of 3^n entries is built; the exhaustive digit-weight scan
+(digits.weight_sums) is the tests' oracle, and tests/oracles.py keeps a
+(max, count) walk DP as the oracle of the largest cost and of the number
+of walks attaining it.
 
 Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
@@ -82,8 +89,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import digits
 from .ff import code_digits
@@ -309,36 +314,34 @@ def _check_cost_mirror(g: CostGraph) -> None:
 
 
 @functools.cache
-def _walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The graph's own tables as arrays, succ (int16) and cost, the xi1
-    digit of each vertex, and the reduced cost of each edge under the
-    potential phi(v) = -dist(tau v) of the graph's Bellman-Ford distances
-    (_reduced_costs; the module docstring says why it is one).  Checks
-    the cost mirror first."""
+def _walk_tables() -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The graph's own cost table, and the reduced cost of each edge under
+    the potential phi(v) = -dist(tau v) of the graph's Bellman-Ford
+    distances (_reduced_costs; the module docstring says why it is one),
+    aligned with succ: reduced[u][k] is that of u -> succ[u][k].  Checks
+    the cost mirror first.  Both are tuples, shared by every caller."""
     g = build_graph()
     _check_cost_mirror(g)
     dist, cycle = _distances()
     if cycle is not None:
         raise AssertionError(f"no potential: negative cycle {cycle}")
-    phi = -np.array([dist[v] for v in range(NUM_VERTICES)])[::-1]  # tau(v) = 728 - v
-    succ = np.array(g.succ, dtype=np.int16)
-    cost = np.array(g.cost, dtype=np.int8)
-    xi1 = (np.arange(NUM_VERTICES) // 81 % 3).astype(np.int8)
-    tables = succ, cost, xi1, _reduced_costs(succ, cost, phi)
-    for table in tables:
-        table.setflags(write=False)  # cached: shared by every caller
-    return tables
+    top = len(g.succ) - 1
+    phi = [-dist[top - v] for v in range(len(g.succ))]  # tau(v) = 728 - v
+    return g.cost, _reduced_costs(g.succ, g.cost, phi)
 
 
-def _reduced_costs(succ: np.ndarray, cost: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """reduced[u, j] = phi(u) + cost(u) - 2 - phi(succ[u, j]); AssertionError
+def _reduced_costs(succ, cost, phi) -> tuple[tuple[int, ...], ...]:
+    """reduced[u][k] = phi(u) + cost(u) - 2 - phi(succ[u][k]); AssertionError
     unless every cost is odd and every reduced cost is <= 0.  One pass
     over the edges, which does not depend on how phi was found."""
-    if (cost % 2 == 0).any():
-        raise AssertionError(f"even vertex cost at vertices {np.flatnonzero(cost % 2 == 0)}")
-    reduced = (phi + cost - 2)[:, None] - phi[succ]
-    if (reduced > 0).any():
-        bad = np.flatnonzero((reduced > 0).any(axis=1))
+    even = [u for u, c in enumerate(cost) if c % 2 == 0]
+    if even:
+        raise AssertionError(f"even vertex cost at vertices {even}")
+    reduced = tuple(
+        tuple(phi[u] + cost[u] - 2 - phi[v] for v in targets) for u, targets in enumerate(succ)
+    )
+    bad = [u for u, row in enumerate(reduced) if max(row) > 0]
+    if bad:
         raise AssertionError(f"no potential: reduced cost > 0 out of vertices {bad}")
     return reduced
 
@@ -353,40 +356,72 @@ def walk_extremes(n: int) -> WalkExtremes:
     0).  That largest cost is read off the walks found, as the sum of
     their vertex costs, and every walk must agree.
 
-    The search starts at the head of each -1 edge, follows the 0-edges
-    for n - 1 steps and keeps the paths that end at that edge's tail.  A
-    walk with one -1 edge has no shorter period, so its n rotations are
-    distinct walks; each decodes through X_j = xi1 of T_j into
-    x = sum X_j * 3^(r*j).  Computed once per n in a process.
+    Each such walk, written T_0 .. T_{n-1} from the head T_0 of its -1
+    edge to its tail T_{n-1}, is found once, by meeting in the middle at
+    T_a, a = (n - 1)//2: the 0-edge paths of a steps forward from each
+    head, and of n - 1 - a steps backward over the 0-edge predecessors
+    from each tail, are joined on (tail, T_a).  A path carries, instead
+    of its vertices, the sums over the T_j it has left of X_j * 3^(r*j)
+    (X_j = xi1 of T_j), of the vertex costs and of the X_j; the join adds
+    T_a.  So each walk decodes once, into x = sum X_j * 3^(r*j) mod 3^n - 1,
+    its cost and w(x).  A walk with one -1 edge has no shorter period, so
+    its n rotations are distinct walks, and the rotation that starts at
+    T_s has the digits X_{j+s}: its residue is x * 3^(-r*s), the digits
+    of x shifted cyclically, of the same weight.  Computed once per n in
+    a process.
     """
     fam = digits.family_params(n)
-    succ, cost, xi1, reduced = _walk_tables()
-    tail, col = np.nonzero(reduced == -1)
-    walk = np.column_stack([tail.astype(succ.dtype), succ[tail, col]])  # the -1 edge, tail first
-    for _ in range(n - 1):
-        last = walk[:, -1]
-        row, col = np.nonzero(reduced[last] == 0)
-        walk = np.column_stack([walk[row], succ[last[row], col]])
-    walk = walk[walk[:, -1] == walk[:, 0], 1:]  # head .. tail, closed by the -1 edge
-    if not len(walk):  # unreachable: the family witness costs 2n - 1
-        raise AssertionError(f"no closed walk costs 2n - 1 at n = {n}")
-    costs = cost[walk].sum(axis=1)
-    if (costs != costs[0]).any():
-        raise AssertionError(f"the walks found cost {sorted(set(costs.tolist()))} at n = {n}")
-    max_cost = int(costs[0])
+    succ = build_graph().succ
+    cost, reduced = _walk_tables()
+    zero_succ = [[v for v, c in zip(succ[u], reduced[u]) if c == 0] for u in range(len(succ))]
+    zero_pred: list[list[int]] = [[] for _ in succ]
+    for u, targets in enumerate(zero_succ):
+        for v in targets:
+            zero_pred[v].append(u)
+    critical = [(u, v) for u in range(len(succ)) for v, c in zip(succ[u], reduced[u]) if c == -1]
+    place = [3 ** (fam.r * j % n) for j in range(n)]
+    X = [v // 81 % 3 for v in range(len(succ))]  # xi1 of each vertex
 
-    turns = (np.arange(n)[:, None] + np.arange(n)) % n  # row s: rotation by s
-    X = xi1[walk[:, turns].reshape(-1, n)]
-    digits_le = np.empty_like(X)
-    digits_le[:, [(fam.r * j) % n for j in range(n)]] = X
-    text = (digits_le[:, ::-1] + ord("0")).astype(np.uint8).tobytes()  # big-endian rows
-    residues = (int(text[i * n : (i + 1) * n], 3) for i in range(len(X)))
-    ranked = sorted(zip(residues, X.sum(axis=1).tolist()))  # Python ints at any n
+    def grow(paths, positions, neighbours):
+        # paths: (tail, end vertex, sums); each step leaves the end vertex,
+        # which is T_j, for each of its neighbours
+        for j in positions:
+            paths = [
+                (tail, u, x + X[v] * place[j], c + cost[v], w + X[v])
+                for tail, v, x, c, w in paths
+                for u in neighbours[v]
+            ]
+        return paths
+
+    a = (n - 1) // 2
+    ahead = grow([(u, v, 0, 0, 0) for u, v in critical], range(a), zero_succ)
+    tails = dict.fromkeys(u for u, _ in critical)  # each tail once
+    behind = grow([(u, u, 0, 0, 0) for u in tails], range(n - 1, a, -1), zero_pred)
+    meet: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for tail, v, x, c, w in behind:  # the join adds T_a = v
+        meet.setdefault((tail, v), []).append((x + X[v] * place[a], c + cost[v], w + X[v]))
+    walks = [
+        (fx + bx, fc + bc, fw + bw)
+        for tail, v, fx, fc, fw in ahead
+        for bx, bc, bw in meet.get((tail, v), ())
+    ]
+    if not walks:  # unreachable: the family witness costs 2n - 1
+        raise AssertionError(f"no closed walk costs 2n - 1 at n = {n}")
+    costs = sorted({c for _, c, _ in walks})
+    if len(costs) > 1:
+        raise AssertionError(f"the walks found cost {costs} at n = {n}")
+    max_cost = costs[0]
+
+    turns = [pow(3, -fam.r * s, fam.m) for s in range(n)]
+    weight_of = {}  # the residue of each rotation -> its weight, that of its walk
+    for x, _, w in walks:
+        weight_of.update(dict.fromkeys([x * t % fam.m for t in turns], w))
+    minimizers = tuple(sorted(weight_of))
     return WalkExtremes(
         min_diff=n - max_cost,  # the least walk cost 2n - max_cost, minus n
         min_weight_sum=3 * n - max_cost,  # w(-y) = 2n - w(y)
-        minimizers=tuple(x for x, _ in ranked),
-        weights=tuple(w for _, w in ranked),
+        minimizers=minimizers,
+        weights=tuple(map(weight_of.__getitem__, minimizers)),
     )
 
 

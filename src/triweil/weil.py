@@ -18,8 +18,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .digits import admitted_family
 from .ff import (
     CEILING_ENV_VAR, FIELD_ENTRY_BYTES, FieldCtx, FieldError, build_field, default_ceiling,
@@ -82,6 +80,7 @@ def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     repeated weil_sum calls on one field and exponent share the tables;
     both are read-only.
     """
+    import numpy as np
     Q = ctx.q - 1
     dtype = np.min_scalar_type(2 * ctx.p - 1)
     trexp = ctx.trace_table[ctx.exp].astype(dtype)
@@ -108,6 +107,7 @@ def weil_sum(ctx: FieldCtx, d: int, a: int) -> CharSumValue:
     passes make a large prime field slower than one bincount would
     (~0.3 ms at p = 131, n = 1); no command runs weil_sum there.
     """
+    import numpy as np
     if d < 1:
         raise ValueError("exponent must be positive")
     p, Q = ctx.p, ctx.q - 1
@@ -129,6 +129,7 @@ def _shift_axis(T: np.ndarray) -> np.ndarray:
     of slice c is shifted cyclically by c*b.  Integer adds only.  The new b
     axis goes behind the rest, so n - 1 steps visit each digit axis once.
     """
+    import numpy as np
     p = T.shape[0]
     ar = np.arange(p)
     shift = (ar[:, None] + ar) % p  # shift[k, s] = (k + s) mod p
@@ -144,6 +145,7 @@ def _shift_axis(T: np.ndarray) -> np.ndarray:
 def _tally_rows(rows: np.ndarray, fibers: dict[tuple[int, ...], int]) -> None:
     """Add the multiplicity of each distinct row to fibers, counting equal
     rows through one void view of each row."""
+    import numpy as np
     width = rows.shape[1]
     row_dtype = np.dtype((np.void, rows.itemsize * width))
     keys, mults = np.unique(rows.view(row_dtype), return_counts=True)
@@ -175,6 +177,7 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     holds q.  The working set is thus that input and three arrays of q
     counts, never q*p entries and no q-sized int64 array.
     """
+    import numpy as np
     if d < 1:
         raise ValueError("exponent must be positive")
     p, n, q = ctx.p, ctx.n, ctx.q

@@ -104,6 +104,55 @@ def test_proof_check(capsys):
     assert len(payload["results"]["sequences"]) == 10
 
 
+# Run in a fresh interpreter: the reports of the commands named in argv[1],
+# whether numpy was loaded after them, the triweil modules loaded, and
+# whether numpy was loaded after one command that builds a field.
+FRESH_RUN = """
+import contextlib, io, json, sys
+import triweil, triweil.cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = triweil.cli.main(argv)
+    return code, out.getvalue()
+
+reports = {name: run(argv) for name, argv in json.loads(sys.argv[1]).items()}
+triweil.motif_graph.trace_cycle(7, 22)
+result = {"reports": reports, "numpy_before": "numpy" in sys.modules,
+          "modules": sorted(m for m in sys.modules if m.startswith("triweil."))}
+run(["spectrum", "--family", "5"])
+result["numpy_after_spectrum"] = "numpy" in sys.modules
+print(json.dumps(result))
+"""
+
+
+def test_carry_graph_commands_run_without_numpy():
+    # the graph-theory leg builds no field, so it never loads numpy, while
+    # `import triweil, triweil.cli` still imports every module the benchmark
+    # traces by name; the first command that builds a field loads numpy
+    commands = {
+        "divisibility_n_7.json": ["--json", "divisibility", "--n", "7"],
+        "proof-check_n_7.json": ["--json", "proof-check", "--n", "7"],
+        "graph-verify.json": ["--json", "graph-verify"],
+    }
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("TRIWEIL_CEILING", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["numpy_before"] is False
+    traced = ("ff", "weil", "kernel_curve", "digits", "proof_lab", "motif_graph")
+    assert {f"triweil.{m}" for m in traced} <= set(result["modules"])
+    for name, (code, report) in result["reports"].items():
+        assert code == 0
+        assert report == (ROOT / "perfbench" / "golden" / name).read_text(), name
+    assert result["numpy_after_spectrum"] is True
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum"])  # neither --family nor --d
