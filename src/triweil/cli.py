@@ -16,12 +16,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import digits, kernel_curve, motif_graph, proof_lab, weil
 from .ff import CEILING_ENV_VAR, DEFAULT_Q_CEILING, FieldError, build_field
-from .report import Check, Verdict
+from .report import Check, passed
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -32,8 +31,7 @@ EXIT_USAGE = 2
 Outcome = tuple[dict[str, Any], dict[str, Any], list[Check]]
 
 
-@dataclass
-class RunReport(Verdict):
+class RunReport(NamedTuple):
     command: str
     params: dict[str, Any]
     results: dict[str, Any]
@@ -55,7 +53,7 @@ class RunReport(Verdict):
                 }
                 for c in self.checks
             ],
-            "passed": self.passed,
+            "passed": passed(self.checks),
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -67,7 +65,7 @@ class RunReport(Verdict):
             lines.append(f"  {k}: {self.results[k]}")
         for c in self.checks:
             lines.append("  " + c.line())
-        verdict = "ALL CHECKS PASSED" if self.passed else "VERIFICATION FAILED"
+        verdict = "ALL CHECKS PASSED" if passed(self.checks) else "VERIFICATION FAILED"
         lines.append(f"  {verdict} ({self.wall_time_ms:.0f} ms)")
         return "\n".join(lines)
 
@@ -290,7 +288,7 @@ def main(argv=None) -> int:
         # the reader closed stdout (`| head`): stop quietly, and point stdout
         # at devnull so that the flush at interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if all(passed(r.checks) for r in reports) else EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ff import FieldError, check_ceiling, code_digits
-from .report import Check, Verdict
+from .report import Check
 
 
 MAX_WITNESSES = 64  # minimizers listed in a report; the count is always exact
@@ -39,8 +39,7 @@ class CarryError(ValueError):
     """The two digit lists do not represent the same residue."""
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """The family at odd n: q = 3^n, r = 4^-1 mod n, d = 3^r + 2, and the
     digit modulus m = 3^n - 1."""
 
@@ -184,8 +183,7 @@ def weight_sums(
     return w, min_sum, np.flatnonzero(total == min_sum) + 1, min_diff
 
 
-@dataclass(frozen=True)
-class StickelbergerReport:
+class StickelbergerReport(NamedTuple):
     p: int
     n: int
     d: int
@@ -223,8 +221,7 @@ def family_witness(n: int) -> int:
     return sum(pow(3, (2 * fam.r * k) % n, fam.m) for k in range((n - 1) // 2)) % fam.m
 
 
-@dataclass(frozen=True)
-class DivisibilityReport(Verdict):
+class DivisibilityReport(NamedTuple):
     n: int
     r: int
     d: int

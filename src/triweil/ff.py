@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 
 DEFAULT_Q_CEILING = 3**13
 EXP_BLOCK = 1 << 12  # powers of the generator per gather when filling exp
@@ -178,18 +177,33 @@ def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 
-@dataclass(frozen=True, eq=False)
 class FieldCtx:
-    """Immutable description of GF(p^n) with precomputed tables."""
+    """Immutable description of GF(p^n) with precomputed tables.
 
-    p: int
-    n: int
-    q: int
-    modulus: tuple[int, ...]  # monic, little-endian, length n+1
-    gen: int  # code of the fixed multiplicative generator
-    exp: np.ndarray  # exp[i] = code of gen^i, length q-1; int32 below q = 2^31
-    log: np.ndarray  # log[code] = i; log[0] = -1; the dtype of exp
-    trace_table: np.ndarray  # absolute trace per code, values in 0..p-1; uint8 for p < 256
+    Equal and hashed by identity: build_field shares one per (p, n), and
+    caches keyed by a context never compare its arrays.
+    """
+
+    __slots__ = (
+        "p", "n", "q",
+        "modulus",  # monic, little-endian, length n+1
+        "gen",  # code of the fixed multiplicative generator
+        "exp",  # exp[i] = code of gen^i, length q-1; int32 below q = 2^31
+        "log",  # log[code] = i; log[0] = -1; the dtype of exp
+        "trace_table",  # absolute trace per code, values in 0..p-1; uint8 for p < 256
+    )
+
+    def __init__(
+        self, *, p: int, n: int, q: int, modulus: tuple[int, ...], gen: int,
+        exp: np.ndarray, log: np.ndarray, trace_table: np.ndarray,
+    ) -> None:
+        for name in self.__slots__:
+            object.__setattr__(self, name, locals()[name])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FieldCtx is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def index(self, x: int) -> int:
         """Discrete log of a nonzero element, the code x in 1..q-1."""

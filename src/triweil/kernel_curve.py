@@ -21,10 +21,10 @@ stay a few blocks in size, far below the field's own tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ff import FieldCtx
-from .report import Check, Verdict
+from .report import Check
 
 LOG_BLOCK = 1 << 15  # discrete logs per array step
 
@@ -66,9 +66,8 @@ def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class CharSumCount:
-    count: int
+class CharSumCount(NamedTuple):
+    count: int  # shadows tuple.count, which no caller uses
     eta_sum: int  # sum over u in F of eta(u^2 + 1)
     hypotheses_ok: bool  # n odd, gcd(r, n) = 1 and gcd(p^r + 2, q - 1) = 1
 
@@ -121,8 +120,7 @@ def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
     return CharSumCount(count=count, eta_sum=eta_sum, hypotheses_ok=hyp)
 
 
-@dataclass(frozen=True)
-class KernelReport(Verdict):
+class KernelReport(NamedTuple):
     q: int
     r: int
     count_direct: int

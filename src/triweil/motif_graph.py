@@ -88,11 +88,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import digits
 from .ff import code_digits
-from .report import Check, Verdict
+from .report import Check
 
 NUM_VERTICES = 3**6
 
@@ -101,8 +101,7 @@ def vertex_tuple(vid: int) -> tuple[int, ...]:
     return code_digits(vid, 3, 6)[::-1]  # big-endian: xi0 is the top digit
 
 
-@dataclass(frozen=True)
-class CostGraph:
+class CostGraph(NamedTuple):
     succ: tuple[tuple[int, ...], ...]  # vertex -> its successors, ascending
     cost: tuple[int, ...]  # vertex -> the cost of every edge leaving it
 
@@ -125,8 +124,7 @@ def build_graph() -> CostGraph:
     return CostGraph(succ=tuple(succ), cost=tuple(cost))
 
 
-@dataclass(frozen=True)
-class SCCReport:
+class SCCReport(NamedTuple):
     sizes: tuple[int, ...]  # component id -> size
     nontrivial: tuple[tuple[int, ...], ...]  # members of size>1 or self-loop comps
 
@@ -238,8 +236,7 @@ def cycle_cost(g: CostGraph, cycle: list[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     n: int
     x: int
     walk: tuple[int, ...]  # n vertex ids, T_0 .. T_{n-1}
@@ -262,14 +259,13 @@ def _trace(n: int, x: int) -> TraceResult:
     # The body of trace_cycle.  proof_lab.motif_word calls it directly, so
     # trace_cycle is entered only for the walks a caller asks to trace:
     # perfbench times it and counts its calls as the seeded spot walks.
-    fam = digits.family_params(n)
-    x %= fam.m
+    _, r, d, m = digits.family_params(n)
+    x %= m
     if x == 0:
         raise ValueError("x must be a nonzero residue")
     xd = digits.canonical_digits(x, 3, n)
-    X = [xd[(fam.r * j) % n] for j in range(n)]
-    g = build_graph()
-    succ, cost = g.succ, g.cost
+    X = [xd[(r * j) % n] for j in range(n)]
+    succ, cost = build_graph()
     v = 243 * X[-1] + 81 * X[0]  # T_0 with every carry 0
     for _ in range(9):  # the carry window rises at most 8 times
         walk = [v]
@@ -280,10 +276,10 @@ def _trace(n: int, x: int) -> TraceResult:
             break
     else:
         raise AssertionError(f"the walk of x = {x} does not close within 9 laps")
-    yd = digits.canonical_digits(fam.d * x, 3, n)
+    yd = digits.canonical_digits(d * x, 3, n)
     Y = [u // 243 + 2 * (u // 81 % 3) + u // 27 % 3 - 3 * (nxt % 3)
          for u, nxt in zip(walk, walk[1:] + walk[:1])]
-    if Y != [yd[(fam.r * j) % n] for j in range(n)]:
+    if Y != [yd[(r * j) % n] for j in range(n)]:
         raise AssertionError(f"walk digits {Y} are not those of d*x for x = {x}")
     total = sum(cost[u] for u in walk)
     expected = n + sum(yd) - sum(xd)
@@ -292,8 +288,7 @@ def _trace(n: int, x: int) -> TraceResult:
     return TraceResult(n=n, x=x, walk=tuple(walk), cost=total)
 
 
-@dataclass(frozen=True)
-class WalkExtremes:
+class WalkExtremes(NamedTuple):
     """The family's weight extremes over nonzero x, read off the closed
     walks of length n, and the residues of the largest-cost walks."""
 
@@ -425,8 +420,7 @@ def walk_extremes(n: int) -> WalkExtremes:
     )
 
 
-@dataclass(frozen=True)
-class GraphReport(Verdict):
+class GraphReport(NamedTuple):
     num_vertices: int
     num_edges: int
     num_components: int

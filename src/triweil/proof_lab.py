@@ -16,11 +16,11 @@ digits.weight_sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import digits, motif_graph
-from .report import Check, Verdict
+from .report import Check
 
 # ---------------------------------------------------------------------------
 # Surgeries.  Digit positions are (const + rmult*r) away from the pivot i;
@@ -30,8 +30,7 @@ _Cond = tuple[str, tuple[int, int], int]  # (variable, offset, minimum digit)
 _Term = tuple[int, tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class Surgery:
+class Surgery(NamedTuple):
     sid: str
     conditions: tuple[_Cond, ...]
     delta_x: tuple[_Term, ...]
@@ -92,8 +91,7 @@ def surgery_identity_holds(sid: str, n: int, r: int, i: int = 0) -> bool:
     return (dz + d * dx) % m == 0
 
 
-@dataclass(frozen=True)
-class SurgeryVerdict:
+class SurgeryVerdict(NamedTuple):
     sid: str
     applicable: bool
     identity_ok: bool
@@ -148,8 +146,7 @@ def check_surgery(sid: str, n: int, x: int, i: int) -> SurgeryVerdict:
 # Motifs: admissible per-position values (X_{j-1}, X_j, Z_j, C_{j-4}, C_j).
 
 
-@dataclass(frozen=True)
-class Motif:
+class Motif(NamedTuple):
     name: str
     x_prev: int
     x: int
@@ -209,8 +206,7 @@ def derive_motifs() -> tuple[Motif, ...]:
 # Sequences: start-to-end chains in the succession digraph.
 
 
-@dataclass(frozen=True)
-class SequencePattern:
+class SequencePattern(NamedTuple):
     name: str
     motifs: tuple[str, ...]
 
@@ -319,8 +315,7 @@ def decompose_s2_s4(word: tuple[str, ...]) -> dict[str, int] | None:
     return {"S2": word.count("2A"), "S4": word.count("2B")}
 
 
-@dataclass(frozen=True)
-class MinimizerReport(Verdict):
+class MinimizerReport(NamedTuple):
     n: int
     r: int
     d: int

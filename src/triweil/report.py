@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named claim with its expected and computed values."""
 
     claim: str
@@ -23,9 +21,6 @@ class Check:
         return f"[{mark}] {self.claim}: expected {self.expected!r}, got {self.got!r}"
 
 
-class Verdict:
-    """Mixin for a report holding ``checks``: it passes when every check holds."""
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+def passed(checks: list[Check]) -> bool:
+    """A report passes when every one of its checks holds."""
+    return all(c.ok for c in checks)

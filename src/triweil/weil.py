@@ -16,14 +16,14 @@ integer adds in an O(q) working set.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .digits import admitted_family
 from .ff import (
     CEILING_ENV_VAR, FIELD_ENTRY_BYTES, FieldCtx, FieldError, build_field, default_ceiling,
     power_exceeds,
 )
-from .report import Check, Verdict
+from .report import Check
 
 
 BLOCK = 1 << 15  # field elements per array step when building the transform's input
@@ -33,8 +33,7 @@ class SpectrumError(ValueError):
     """Raised when an operation needs an integer-valued spectrum."""
 
 
-@dataclass(frozen=True)
-class CharSumValue:
+class CharSumValue(NamedTuple):
     """One character sum, as exact trace-fiber counts."""
 
     p: int
@@ -53,8 +52,7 @@ class CharSumValue:
         return self.fiber_counts[0] - self.fiber_counts[1]
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Multiplicities of the sum's values over nonzero coefficients a."""
 
     p: int
@@ -258,14 +256,13 @@ def is_degenerate(d: int, p: int, n: int) -> bool:
     return any(dm == pow(p, k, Q) for k in range(n))
 
 
-@dataclass(frozen=True)
-class FamilyReport(Verdict):
+class FamilyReport(NamedTuple):
     n: int
     r: int
     d: int
     ctx: FieldCtx  # the field the spectrum was computed over
     spectrum: Spectrum
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]
 
 
 def check_family(n: int, *, ceiling: int | None = None) -> FamilyReport:

@@ -12,6 +12,7 @@ import numpy as np
 
 from triweil import digits, kernel_curve, motif_graph, proof_lab, weil
 from triweil.ff import build_field
+from triweil.report import passed
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -83,7 +84,7 @@ def test_criterion_4_graph_verification():
     elapsed = time.perf_counter() - t0
     _verdict(
         "criterion-4 graph verification",
-        rep.passed and elapsed < 1.0,
+        passed(rep.checks) and elapsed < 1.0,
         f"{elapsed:.2f}s",
     )
 
@@ -96,7 +97,7 @@ def test_criterion_5_divisibility_bound():
         budget = 60.0 if n == 13 else math.inf
         _verdict(
             f"criterion-5 divisibility bound n={n}",
-            rep.passed and rep.min_weight_sum == n + 1 and elapsed < budget,
+            passed(rep.checks) and rep.min_weight_sum == n + 1 and elapsed < budget,
             f"{elapsed:.2f}s",
         )
 
@@ -150,7 +151,7 @@ def test_criterion_7_proof_machinery():
     ok = True
     for n in (5, 7, 9, 11, 13):
         rep = proof_lab.check_minimizer_structure(n)
-        ok &= rep.passed and rep.k == (n - 1) // 2
+        ok &= passed(rep.checks) and rep.k == (n - 1) // 2
     _verdict("criterion-7 S2/S4 decomposition", ok)
 
 

@@ -104,12 +104,16 @@ def test_proof_check(capsys):
     assert len(payload["results"]["sequences"]) == 10
 
 
-# Run in a fresh interpreter: the reports of the commands named in argv[1],
-# whether numpy was loaded after them, the triweil modules loaded, and
-# whether numpy was loaded after one command that builds a field.
+# Run in a fresh interpreter: the modules that `import triweil, triweil.cli`
+# adds to those loaded before it (site hooks may load some), the reports of
+# the commands named in argv[1], whether numpy was loaded after them, the
+# triweil modules loaded, and whether numpy was loaded after one command
+# that builds a field.
 FRESH_RUN = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 import triweil, triweil.cli
+imported = sorted(set(sys.modules) - before)
 
 def run(argv):
     out = io.StringIO()
@@ -119,7 +123,7 @@ def run(argv):
 
 reports = {name: run(argv) for name, argv in json.loads(sys.argv[1]).items()}
 triweil.motif_graph.trace_cycle(7, 22)
-result = {"reports": reports, "numpy_before": "numpy" in sys.modules,
+result = {"imported": imported, "reports": reports, "numpy_before": "numpy" in sys.modules,
           "modules": sorted(m for m in sys.modules if m.startswith("triweil."))}
 run(["spectrum", "--family", "5"])
 result["numpy_after_spectrum"] = "numpy" in sys.modules
@@ -144,6 +148,8 @@ def test_carry_graph_commands_run_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
+    # the records are NamedTuples: the import defines no dataclass
+    assert {"dataclasses", "inspect"}.isdisjoint(result["imported"])
     assert result["numpy_before"] is False
     traced = ("ff", "weil", "kernel_curve", "digits", "proof_lab", "motif_graph")
     assert {f"triweil.{m}" for m in traced} <= set(result["modules"])
