@@ -14,8 +14,10 @@ is gen^lw, a power w^e has the log lw*e mod (q-1), a quotient is a
 difference of logs, and the quadratic character is the parity of the
 log.  The one sum either route needs, 1 + w^e, is the Zech logarithm
 FieldCtx.zech, which is -1 where the sum is 0; no code is added digit by
-digit.  The logs are taken in blocks of LOG_BLOCK, so the temporaries
-stay a few blocks in size, far below the field's own tables.
+digit.  A character sum of w^e + 1 runs over the image of w -> w^e, the
+logs divisible by gcd(e, q - 1), each counted that many times.  The logs
+are taken in blocks of LOG_BLOCK, so the temporaries stay a few blocks in
+size, far below the field's own tables.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .report import Check
 LOG_BLOCK = 1 << 15  # discrete logs per array step
 
 
-def _log_blocks(ctx: FieldCtx):
-    """The logs 0..q-2 of the nonzero elements, as int64 blocks."""
+def _log_blocks(ctx: FieldCtx, step: int = 1):
+    """The logs 0, step, 2*step, ... below q - 1, as int64 blocks."""
     import numpy as np
-    Q = ctx.q - 1
-    for start in range(0, Q, LOG_BLOCK):
-        yield np.arange(start, min(start + LOG_BLOCK, Q), dtype=np.int64)
+    Q, stride = ctx.q - 1, LOG_BLOCK * step
+    for start in range(0, Q, stride):
+        yield np.arange(start, min(start + stride, Q), step, dtype=np.int64)
 
 
 def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
@@ -75,20 +77,22 @@ class CharSumCount(NamedTuple):
 def _eta_power_plus_one(ctx: FieldCtx, e: int) -> tuple[int, int]:
     """(sum of eta(w^e + 1), number of w with w^e = -1) over the nonzero w.
 
-    w^e + 1 = gen^Z(lw*e) with the Zech log Z, so eta(w^e + 1) is the
-    parity of Z, and w^e = -1 exactly where Z is -1 (eta(0) = 0), one
-    block of logs at a time.  Odd characteristic only.
+    As w runs over the nonzero elements, w^e runs over the gen^k with g | k,
+    g = gcd(e, q - 1), and hits each g times: the sums run over those
+    (q - 1)/g logs k and count each g times.  1 + gen^k = gen^Z(k) with the
+    Zech log Z, so eta is the parity of Z, and gen^k = -1 exactly where Z is
+    -1 (eta(0) = 0), one block of logs at a time.  Odd characteristic only.
     """
     import numpy as np
-    Q = ctx.q - 1
+    g = math.gcd(e, ctx.q - 1)
     total = zeros = 0
-    for lw in _log_blocks(ctx):
-        z = ctx.zech(lw * e % Q)
+    for k in _log_blocks(ctx, g):
+        z = ctx.zech(k)
         hits = int(np.count_nonzero(z == -1))
         odd = int(np.count_nonzero(z & 1)) - hits  # -1 is odd in any signed dtype
         total += z.size - hits - 2 * odd
         zeros += hits
-    return total, zeros
+    return g * total, g * zeros
 
 
 def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
@@ -98,7 +102,8 @@ def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
     Outside the hypotheses (n odd, gcd(r, n) = 1, and d = p^r + 2 coprime
     to q - 1) the count is still returned, just flagged, so the identity
     can be observed failing.
-    Both character sums run on discrete logs, one block of logs at a time.
+    Both character sums run over the logs of the image subgroup, one block
+    of logs at a time.
     """
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
     e2 = (pow(p, 2 * r, Q) - pow(p, r, Q)) % Q

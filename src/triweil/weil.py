@@ -10,7 +10,8 @@ One sum is p - 1 count passes over q one-byte entries (for p < 128),
 read off two cached trace tables without a copy (see weil_sum).  The
 whole spectrum over the nonzero coefficients is one exact p-ary
 Walsh-Hadamard transform of the fiber indicator of Tr(x^d): n*p^2*q
-integer adds in an O(q) working set.
+integer adds in an O(q) working set.  Its equal fiber vectors are counted
+on one exact int64 key per vector, sorted in place.
 """
 
 from __future__ import annotations
@@ -74,18 +75,18 @@ def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     Tr(a*gen^u) for a = gen^k is then the view twice[k : k + q - 1], so no
     coefficient needs a copy.  Both hold values up to 2p - 1 in the narrowest
     unsigned dtype that holds them (uint8 for p < 128), so trd minus that
-    view never wraps: 3 bytes per element.  Kept for the last (ctx, d), so
-    repeated weil_sum calls on one field and exponent share the tables;
-    both are read-only.
+    view never wraps: 3 bytes per element.  The logs d*u mod q-1 are taken
+    BLOCK at a time, never as one q-sized int64 array.  Kept for the last
+    (ctx, d), so repeated weil_sum calls on one field and exponent share the
+    tables; both are read-only.
     """
     import numpy as np
     Q = ctx.q - 1
     dtype = np.min_scalar_type(2 * ctx.p - 1)
     trexp = ctx.trace_table[ctx.exp].astype(dtype)
-    logs = np.arange(Q)  # the logs d*u mod q-1, in place: one int64 array
-    logs *= d % Q
-    logs %= Q
-    trd = trexp[logs]
+    trd = np.empty(Q, dtype=dtype)
+    for start in range(0, Q, BLOCK):
+        trd[start : start + BLOCK] = trexp[np.arange(start, min(start + BLOCK, Q)) * (d % Q) % Q]
     trd += dtype.type(ctx.p)
     twice = np.concatenate((trexp, trexp))
     trd.setflags(write=False)
@@ -140,16 +141,53 @@ def _shift_axis(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tally_rows(rows: np.ndarray, fibers: dict[tuple[int, ...], int]) -> None:
-    """Add the multiplicity of each distinct row to fibers, counting equal
-    rows through one void view of each row."""
+def _tally_rows(rows: np.ndarray, mults: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows in ascending order, the multiplicity of each) of a 2-D
+    array; with mults, each row counts mults times (to merge tallies).
+
+    Each row is one exact int64 key: its entries less their column minimum,
+    as digits in mixed radix over the column spans.  Where the next column
+    would take a key to 2^63, the keys are first replaced by their ranks
+    among the distinct keys, kept for decoding.  Equal rows are then runs of
+    the sorted keys: 8 B per row, no sorted copy of the rows.
+    """
     import numpy as np
-    width = rows.shape[1]
-    row_dtype = np.dtype((np.void, rows.itemsize * width))
-    keys, mults = np.unique(rows.view(row_dtype), return_counts=True)
-    for key, mult in zip(keys.view(rows.dtype).reshape(-1, width).tolist(), mults.tolist()):
-        key = tuple(key)
-        fibers[key] = fibers.get(key, 0) + mult
+    if not len(rows):
+        return rows, np.zeros(0, dtype=np.int64)
+    keys = np.zeros(len(rows), dtype=np.int64)
+    bound, levels = 1, [(None, [])]  # per level: the distinct keys it ranks, its columns
+    for j in range(rows.shape[1]):
+        col = rows[:, j]
+        low = int(col.min())
+        span = int(col.max()) - low + 1
+        if bound * span > 1 << 63:
+            distinct, keys = np.unique(keys, return_inverse=True)
+            levels.append((distinct, []))
+            bound = distinct.size
+        keys *= span
+        keys += col
+        keys -= low
+        bound *= span
+        levels[-1][1].append((j, low, span))
+    if mults is None:
+        keys.sort()
+    else:
+        order = keys.argsort()
+        keys, mults = keys[order], mults[order]
+    new = np.empty(keys.size, dtype=bool)  # a run of equal keys starts here
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=keys.size) if mults is None else np.add.reduceat(mults, starts)
+    key = keys[starts]
+    out = np.empty((key.size, rows.shape[1]), dtype=rows.dtype)
+    for distinct, cols in reversed(levels):
+        for j, low, span in reversed(cols):
+            key, digit = np.divmod(key, span)
+            out[:, j] = digit + low
+        if distinct is not None:
+            key = distinct[key]
+    return out, counts
 
 
 def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
@@ -173,7 +211,9 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     int32 log times d would wrap).  Each chunk counts its top axis a block
     of columns at a time, straight into the narrowest unsigned dtype that
     holds q.  The working set is thus that input and three arrays of q
-    counts, never q*p entries and no q-sized int64 array.
+    counts, never q*p entries and no q-sized int64 array.  Each chunk's q/p
+    fiber vectors are tallied on int64 keys (8 B each, see _tally_rows) and
+    the p tallies are merged once, at the end.
     """
     import numpy as np
     if d < 1:
@@ -189,7 +229,7 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     width = max(1, BLOCK // p)  # columns per bincount
     low = np.arange(width) * p  # flat index of (column in the block, fiber 0)
     count_dtype = np.min_scalar_type(q)  # every count is at most q
-    fibers: dict[tuple[int, ...], int] = {}
+    tallies = []
     for beta in range(p):
         # the top axis at b_{n-1} = beta, then the other n - 1 axes
         T = np.empty(q, dtype=count_dtype)
@@ -200,7 +240,9 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
             T[j * p : (j + m) * p] = np.bincount(keys, minlength=m * p)
         for _ in range(n - 1):
             T = _shift_axis(T.reshape(p, -1, p))
-        _tally_rows(T.reshape(-1, p)[1 if beta == 0 else 0 :], fibers)  # drop b = 0: row 0, chunk 0
+        tallies.append(_tally_rows(T.reshape(-1, p)[1 if beta == 0 else 0 :]))  # drop b = 0: row 0, chunk 0
+    rows, mults = _tally_rows(*map(np.concatenate, zip(*tallies)))
+    fibers = dict(zip(map(tuple, rows.tolist()), mults.tolist()))
 
     entries: dict[int, int] | None = {}
     for key, mult in fibers.items():
@@ -285,7 +327,7 @@ def check_family(n: int, *, ceiling: int | None = None) -> FamilyReport:
         expected = {0: q - q // 3 - 1, s: (q + s) // 6, -s: (q - s) // 6}
         checks += [
             Check("spectrum.values", sorted(expected), sorted(spec.entries)),
-            Check("spectrum.counts", expected, dict(spec.entries)),
+            Check("spectrum.counts", expected, dict(sorted(spec.entries.items()))),
             Check("moment.1", q, power_moment(spec, 1)),
             Check("moment.2", q**2, power_moment(spec, 2)),
             Check("moment.4", 3 * q**3, power_moment(spec, 4)),

@@ -121,6 +121,22 @@ def test_counts_do_not_depend_on_the_block(monkeypatch, p, n, r):
     assert (kernel_count_direct(ctx, r), kernel_count_charsum(ctx, r)) == whole
 
 
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 2)])
+def test_eta_power_plus_one_against_a_loop_over_the_logs(p, n):
+    # every e in 0..q-1, so gcd(e, q - 1) takes 1, 2, q - 1 and every other divisor
+    ctx = build_field(p, n)
+    F, Q = ref_of(ctx), ctx.q - 1
+    for e in range(Q + 1):
+        total = zeros = 0
+        for lw in range(Q):
+            s = F.add(F.powers[lw * e % Q], 1)  # w^e + 1
+            if s == 0:
+                zeros += 1
+            else:
+                total += 1 if F.log[s] % 2 == 0 else -1
+        assert kernel_curve._eta_power_plus_one(ctx, e) == (total, zeros), e
+
+
 def test_minus_one_branch_unreachable_for_odd_p():
     # p^2r - p^r = p^r (p^r - 1) is even, so w^(p^2r - p^r) is a square and
     # never equals a non-square -1: the ArithmeticError branch cannot fire

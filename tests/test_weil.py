@@ -99,6 +99,77 @@ def test_spectrum_block_does_not_change_the_spectrum(monkeypatch, p, n, d):
         assert spectrum(ctx, d) == default, block
 
 
+def _tally_by_counter(rows, mults):
+    tally = Counter()
+    for row, mult in zip(map(tuple, rows.tolist()), mults):
+        tally[row] += mult
+    return tally
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+@pytest.mark.parametrize("case", ["small", "one-column", "constant-columns", "empty", "wide"])
+def test_tally_rows_matches_counter(dtype, case):
+    rng = np.random.default_rng(27)
+    top = int(np.iinfo(dtype).max)
+    if case == "small":
+        rows = rng.integers(0, 6, (2000, 5))
+    elif case == "one-column":
+        rows = rng.integers(0, 40, (500, 1))
+    elif case == "constant-columns":  # spans of 1, at 0 and at the dtype's maximum
+        cols = rng.integers(0, 3, (800, 2))
+        rows = np.column_stack([np.zeros(800, int), cols[:, 0], np.full(800, top), cols[:, 1]])
+    elif case == "empty":
+        rows = np.zeros((0, 4), dtype=int)
+    else:  # 24 full-range columns: the keys must be ranked several times over
+        rows = rng.integers(0, top + 1, (300, 24))
+        rows = np.concatenate([rows, rows[:100], rows[:7]])
+        assert math.prod(int(c.max() - c.min()) + 1 for c in rows.T) > 2**63
+    rows = rows.astype(dtype)
+    distinct, mults = weil._tally_rows(rows)
+    assert distinct.dtype == rows.dtype and distinct.shape == (len(mults), rows.shape[1])
+    got = dict(zip(map(tuple, distinct.tolist()), mults.tolist()))
+    assert got == _tally_by_counter(rows, [1] * len(rows))
+    assert list(got) == sorted(got)  # ascending rows
+    weights = rng.integers(1, 1000, len(rows))  # merging tallies: each row counts weights[i] times
+    distinct, mults = weil._tally_rows(rows, weights)
+    assert dict(zip(map(tuple, distinct.tolist()), mults.tolist())) == _tally_by_counter(rows, weights)
+
+
+def test_tally_of_one_chunk_allocates_less_than_its_rows(monkeypatch):
+    # one int64 key per row of the chunk at n = 11 (8 B), against 3 uint32 counts (12 B)
+    tally, seen = weil._tally_rows, []
+
+    def traced(rows, mults=None):
+        if mults is not None:  # the final merge of the p tallies
+            return tally(rows, mults)
+        tracemalloc.start()
+        try:
+            out = tally(rows)
+            seen.append((tracemalloc.get_traced_memory()[1], rows.nbytes))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(weil, "_tally_rows", traced)
+    spectrum(build_field(3, 11), family_params(11).d)
+    assert len(seen) == 3 and all(peak < nbytes for peak, nbytes in seen), seen
+
+
+def test_trace_tables_take_the_logs_a_block_at_a_time(monkeypatch):
+    # 4 B per element of one-byte tables at the peak, no q-sized int64 index
+    ctx = build_field(3, 9)
+    monkeypatch.setattr(weil, "BLOCK", 1 << 10)
+    weil._trace_of_powers.cache_clear()
+    tracemalloc.start()
+    try:
+        weil._trace_of_powers(ctx, 2189)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        weil._trace_of_powers.cache_clear()
+    assert peak < 5 * ctx.q, peak
+
+
 # ---------------------------------------------------------------------------
 
 
