@@ -16,17 +16,14 @@ from .kernel_curve import (
     kernel_report,
 )
 from .digits import (
-    carry_sequence,
     family_params,
     family_witness,
     stickelberger_bound,
     verify_divisibility,
-    weight,
 )
 from .motif_graph import bellman_ford, build_graph, graph_report, tarjan_scc, trace_cycle
 from .proof_lab import (
     check_minimizer_structure,
-    check_surgery,
     derive_motifs,
     enumerate_sequences,
 )

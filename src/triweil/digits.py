@@ -1,19 +1,17 @@
-"""Base-b digit weights on Z/(b^n - 1)Z and the add-and-carry machinery.
+"""Base-b digit weights on Z/(b^n - 1)Z and the family's divisibility bound.
 
 A residue is written with n digits in {0..b-1}; the canonical expansion
 of the zero residue is all zeros (the all-(b-1) string is excluded).
-Digit lists serialize little-endian: d_0 first.
+Digit lists serialize little-endian: d_0 first.  The weight of a residue
+is the digit sum of its canonical expansion.
 
 The carry lemma: whenever two integer digit lists s and t represent the
 same residue, there is a unique integer carry sequence c with
 s_i + c_{i-1} = t_i + b*c_i at every index, given in closed form by
 c_i = (1/(b^n-1)) * sum_j (s_{j+i+1} - t_{j+i+1}) * b^j, and the carries
-sum to (sum s - sum t)/(b - 1).  carry_sequence evaluates the closed form
-once, for the last carry c_{n-1}, whose numerator sum_j (s_j - t_j) * b^j
-is also the congruence test, and derives the others in one pass from
-c_i = (s_i + c_{i-1} - t_i)/b: one sum over integers of n digits and n
-small divisions, where evaluating every closed form takes n such sums.
-carry_sequence is the lemma alone: no walk runs it.
+sum to (sum s - sum t)/(b - 1).  tests/oracles.py evaluates that closed
+form (closed_form_carries); no command needs the carries of arbitrary
+lists.
 
 For the family exponent the lemma makes each nonzero residue one closed
 walk in the carry graph (motif_graph's docstring has the argument, and
@@ -33,10 +31,6 @@ from .report import Check
 
 
 MAX_WITNESSES = 64  # minimizers listed in a report; the count is always exact
-
-
-class CarryError(ValueError):
-    """The two digit lists do not represent the same residue."""
 
 
 class FamilyParams(NamedTuple):
@@ -91,11 +85,6 @@ def canonical_digits(x: int, b: int, n: int) -> tuple[int, ...]:
     return code_digits(x % (b**n - 1), b, n)
 
 
-def weight(x: int, b: int, n: int) -> int:
-    """Digit sum of the canonical expansion of x mod b^n - 1."""
-    return sum(canonical_digits(x, b, n))
-
-
 def _weight_dtype(b: int, n: int) -> np.dtype:
     # weights are below (b-1)*n, so this dtype holds any sum or difference of two
     import numpy as np
@@ -103,53 +92,13 @@ def _weight_dtype(b: int, n: int) -> np.dtype:
 
 
 def weight_table(b: int, n: int) -> np.ndarray:
-    """weight(x) for every residue x in 0..b^n-2, built one digit at a time."""
+    """The weight of every residue x in 0..b^n-2, built one digit at a time."""
     import numpy as np
     dtype = _weight_dtype(b, n)
     w = np.zeros(1, dtype=dtype)
     for _ in range(n):
         w = (np.arange(b, dtype=dtype)[:, None] + w).ravel()  # prepend a top digit
     return w[:-1]  # the all-(b-1) string is the zero residue, already at index 0
-
-
-def carry_sequence(s, t, b: int, n: int) -> list[int]:
-    """The unique integer carries between congruent digit lists s and t.
-
-    One closed-form carry, c_{n-1} = sum_j (s_j - t_j) * b^j / (b^n - 1),
-    whose numerator fails to divide exactly when the lists are
-    incongruent; the rest follow from the recurrence (see _carry_pass).
-    """
-    s, t = list(s), list(t)
-    if len(s) != n or len(t) != n:
-        raise ValueError(f"digit lists must have length n = {n}")
-    m = b**n - 1
-    num = 0
-    for si, ti in zip(reversed(s), reversed(t)):
-        num = num * b + si - ti
-    if num % m != 0:
-        raise CarryError(f"digit lists differ by residue {num % m} mod {m}")
-    return _carry_pass(s, t, b, num // m)
-
-
-def _carry_pass(s: list[int], t: list[int], b: int, last: int) -> list[int]:
-    """c_i = (s_i + c_{i-1} - t_i)/b for i = 0..n-1 from c_{-1} = last.
-
-    Checks that every division is exact, that the pass returns to last
-    (the carries close the cycle) and that the carries sum to the weight
-    difference; each check fails only when last is not the true c_{n-1}.
-    """
-    c = []
-    prev = last
-    for i, (si, ti) in enumerate(zip(s, t)):
-        prev, rem = divmod(si + prev - ti, b)
-        if rem != 0:
-            raise AssertionError(f"carry division not exact at index {i}")
-        c.append(prev)
-    if prev != last:
-        raise AssertionError(f"carries do not close: c_{len(c) - 1} = {prev} != {last}")
-    if (b - 1) * sum(c) != sum(s) - sum(t):
-        raise AssertionError("carries do not sum to the weight difference")
-    return c
 
 
 def weight_sums(

@@ -36,7 +36,7 @@ below q = 2^31 (int64 above), and trace_table is the narrowest unsigned
 dtype that holds p - 1 (uint8 for p < 256), so a field takes 9 bytes per
 element.  An int32 log times an exponent can pass 2^31, and NumPy keeps
 int32 times a Python int in int32, so callers take such products on
-int64 logs, one block at a time.
+int64 logs, LOG_BLOCK at a time (log_blocks).
 
 NumPy is imported by the functions that build or read tables, here and
 in weil, kernel_curve and digits, not by the modules: the carry-graph
@@ -51,11 +51,20 @@ import os
 
 DEFAULT_Q_CEILING = 3**13
 EXP_BLOCK = 1 << 12  # powers of the generator per gather when filling exp
+LOG_BLOCK = 1 << 15  # int64 discrete logs (or field elements) per array step
 CEILING_ENV_VAR = "TRIWEIL_CEILING"
 
 
 class FieldError(ValueError):
     """Invalid field parameters or out-of-budget field size."""
+
+
+def log_blocks(Q: int, step: int = 1):
+    """The logs 0, step, 2*step, ... below Q, as int64 blocks of LOG_BLOCK."""
+    import numpy as np
+    stride = LOG_BLOCK * step
+    for start in range(0, Q, stride):
+        yield np.arange(start, min(start + stride, Q), step, dtype=np.int64)
 
 
 def is_prime(m: int) -> bool:
@@ -125,13 +134,6 @@ def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
         M = M @ M % p
         e >>= 1
     return result
-
-
-def is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """Monic mod is irreducible iff x^(p^n) = x mod it and, for every prime
-    l | n, gcd(x^(p^(n/l)) - x, mod) is constant (see _irreducible)."""
-    import numpy as np
-    return bool(_irreducible(np.array([mod]), p)[0])
 
 
 def _irreducible(mods: np.ndarray, p: int) -> np.ndarray:

@@ -16,8 +16,8 @@ log.  The one sum either route needs, 1 + w^e, is the Zech logarithm
 FieldCtx.zech, which is -1 where the sum is 0; no code is added digit by
 digit.  A character sum of w^e + 1 runs over the image of w -> w^e, the
 logs divisible by gcd(e, q - 1), each counted that many times.  The logs
-are taken in blocks of LOG_BLOCK, so the temporaries stay a few blocks in
-size, far below the field's own tables.
+are taken in blocks of ff.LOG_BLOCK (ff.log_blocks), so the temporaries
+stay a few blocks in size, far below the field's own tables.
 """
 
 from __future__ import annotations
@@ -25,19 +25,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .ff import FieldCtx
+from .ff import FieldCtx, log_blocks
 from .report import Check
-
-LOG_BLOCK = 1 << 15  # discrete logs per array step
-
-
-def _log_blocks(ctx: FieldCtx, step: int = 1):
-    """The logs 0, step, 2*step, ... below q - 1, as int64 blocks."""
-    import numpy as np
-    Q, stride = ctx.q - 1, LOG_BLOCK * step
-    for start in range(0, Q, stride):
-        yield np.arange(start, min(start + stride, Q), step, dtype=np.int64)
-
 
 def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
     """Direct count through the x = w*y parameterization, O(q).
@@ -61,7 +50,7 @@ def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
     e2 = (frob_2r - frob_r) % Q
     log_minus_one = ctx.index(ctx.p - 1)
     count = 2 * q - 1
-    for lw in _log_blocks(ctx):
+    for lw in log_blocks(Q):
         z = ctx.zech(lw * e2 % Q)
         solvable = (log_minus_one + lw * ((1 - frob_r) % g) - z) % g == 0
         count += g * int(np.count_nonzero(solvable & (z != -1)))
@@ -86,7 +75,7 @@ def _eta_power_plus_one(ctx: FieldCtx, e: int) -> tuple[int, int]:
     import numpy as np
     g = math.gcd(e, ctx.q - 1)
     total = zeros = 0
-    for k in _log_blocks(ctx, g):
+    for k in log_blocks(ctx.q - 1, g):
         z = ctx.zech(k)
         hits = int(np.count_nonzero(z == -1))
         odd = int(np.count_nonzero(z & 1)) - hits  # -1 is odd in any signed dtype

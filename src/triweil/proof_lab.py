@@ -4,7 +4,10 @@ The argument constrains a weight-sum minimizer x (with z = -d*x) through
 five local digit surgeries, reduces the per-position digit/carry data to
 nine admissible motifs, chains motifs into ten start-to-end sequences,
 and concludes that a doubly-minimal x decomposes into S2/S4 blocks only.
-Everything here is re-derived from the defining constraints.
+Everything here is re-derived from the defining constraints.  Each
+surgery's identity is checked here (surgery_identity_holds); its weight
+contracts, at every pivot of every residue, by check_surgery in
+tests/oracles.py.
 
 The final claim is checked at every minimizer.  Each nonzero residue is
 one closed walk in the carry graph (the argument is in the motif_graph
@@ -91,57 +94,6 @@ def surgery_identity_holds(sid: str, n: int, r: int, i: int = 0) -> bool:
     return (dz + d * dx) % m == 0
 
 
-class SurgeryVerdict(NamedTuple):
-    sid: str
-    applicable: bool
-    identity_ok: bool
-    x_new: int | None
-    z_new: int | None
-    weight_drop_ok: bool | None  # w(x') < w(x)
-    weight_sum_ok: bool | None  # w(x') + w(z') <= w(x) + w(z)
-
-
-def check_surgery(sid: str, n: int, x: int, i: int) -> SurgeryVerdict:
-    """Try one surgery at pivot position i of a candidate minimizer x.
-
-    The exponent is the family's, d = 3^r + 2 with 4r = 1 mod n.
-    Inapplicability (digit conditions unmet) is a normal outcome.  When
-    applicable, verifies z' = -d*x' exactly and both weight contracts.
-    """
-    fam = digits.family_params(n)
-    r, d, m = fam.r, fam.d, fam.m
-    s = SURGERIES[sid]
-    x %= m
-    z = (-d * x) % m
-    xd = digits.canonical_digits(x, 3, n)
-    zd = digits.canonical_digits(z, 3, n)
-
-    identity_ok = surgery_identity_holds(sid, n, r, i)
-
-    digs = {"x": xd, "z": zd}
-    applicable = x != 0 and all(
-        digs[var][(i + const + rmult * r) % n] >= lo
-        for var, (const, rmult), lo in s.conditions
-    )
-    if not applicable:
-        return SurgeryVerdict(sid, False, identity_ok, None, None, None, None)
-
-    x2 = (x + _term_value(s.delta_x, i, r, n, m)) % m
-    z2 = (z + _term_value(s.delta_z, i, r, n, m)) % m
-    if identity_ok and (z2 + d * x2) % m != 0:
-        raise AssertionError("surgery produced z' != -d*x'")  # unreachable
-    w = lambda v: digits.weight(v, 3, n)
-    return SurgeryVerdict(
-        sid=sid,
-        applicable=True,
-        identity_ok=identity_ok,
-        x_new=x2,
-        z_new=z2,
-        weight_drop_ok=w(x2) < w(x),
-        weight_sum_ok=w(x2) + w(z2) <= w(x) + w(z),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Motifs: admissible per-position values (X_{j-1}, X_j, Z_j, C_{j-4}, C_j).
 
@@ -157,10 +109,6 @@ class Motif(NamedTuple):
     @property
     def values(self) -> tuple[int, int, int, int, int]:
         return (self.x_prev, self.x, self.z, self.c_in, self.c_out)
-
-    @property
-    def digit_sum(self) -> int:
-        return 2 * self.x + self.x_prev + self.z
 
 
 MOTIF_TABLE: tuple[Motif, ...] = (

@@ -19,15 +19,13 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
+from . import ff
 from .digits import admitted_family
 from .ff import (
     CEILING_ENV_VAR, FIELD_ENTRY_BYTES, FieldCtx, FieldError, build_field, default_ceiling,
-    power_exceeds,
+    log_blocks, power_exceeds,
 )
 from .report import Check
-
-
-BLOCK = 1 << 15  # field elements per array step when building the transform's input
 
 
 class SpectrumError(ValueError):
@@ -67,6 +65,21 @@ class Spectrum(NamedTuple):
         return self.entries is not None
 
 
+def _power_traces(trexp: np.ndarray, d: int) -> np.ndarray:
+    """Tr(gen^(d*u)) for u = 0..q-2, in the dtype of trexp = Tr(gen^u).
+
+    One gather per block of int64 logs d*u mod q-1 (ff.log_blocks), never a
+    q-sized int64 index.  No log table is read: the spectrum puts entry u at
+    the code exp[u], and weil_sum reads it by u.
+    """
+    import numpy as np
+    Q = trexp.size
+    out = np.empty_like(trexp)
+    for u in log_blocks(Q):
+        out[u[0] : u[-1] + 1] = trexp[u * (d % Q) % Q]
+    return out
+
+
 @functools.lru_cache(maxsize=1)
 def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(trd, twice): p + Tr(gen^(d*u)) for u = 0..q-2, and Tr(gen^u) for
@@ -75,18 +88,15 @@ def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     Tr(a*gen^u) for a = gen^k is then the view twice[k : k + q - 1], so no
     coefficient needs a copy.  Both hold values up to 2p - 1 in the narrowest
     unsigned dtype that holds them (uint8 for p < 128), so trd minus that
-    view never wraps: 3 bytes per element.  The logs d*u mod q-1 are taken
-    BLOCK at a time, never as one q-sized int64 array.  Kept for the last
+    view never wraps: 3 bytes per element.  trd is _power_traces' table,
+    the spectrum's input too, shifted by p.  Kept for the last
     (ctx, d), so repeated weil_sum calls on one field and exponent share the
     tables; both are read-only.
     """
     import numpy as np
-    Q = ctx.q - 1
     dtype = np.min_scalar_type(2 * ctx.p - 1)
-    trexp = ctx.trace_table[ctx.exp].astype(dtype)
-    trd = np.empty(Q, dtype=dtype)
-    for start in range(0, Q, BLOCK):
-        trd[start : start + BLOCK] = trexp[np.arange(start, min(start + BLOCK, Q)) * (d % Q) % Q]
+    trexp = ctx.trace_table[ctx.exp].astype(dtype, copy=False)
+    trd = _power_traces(trexp, d)
     trd += dtype.type(ctx.p)
     twice = np.concatenate((trexp, trexp))
     trd.setflags(write=False)
@@ -207,10 +217,10 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     n*p^2*q element operations.  It runs in chunks of one top digit of b.
 
     The input, Tr(x^d) by the code of x, is one array of q traces in the
-    trace table's dtype, filled BLOCK codes at a time on int64 logs (an
-    int32 log times d would wrap).  Each chunk counts its top axis a block
-    of columns at a time, straight into the narrowest unsigned dtype that
-    holds q.  The working set is thus that input and three arrays of q
+    trace table's dtype: at x = gen^u it is Tr(gen^(d*u)), the table
+    _power_traces makes for weil_sum too, so no log table is read.  Each
+    chunk counts its top axis a block of columns at a time, straight into
+    the narrowest unsigned dtype that holds q.  The working set is thus that input and three arrays of q
     counts, never q*p entries and no q-sized int64 array.  Each chunk's q/p
     fiber vectors are tallied on int64 keys (8 B each, see _tally_rows) and
     the p tallies are merged once, at the end.
@@ -219,14 +229,11 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     if d < 1:
         raise ValueError("exponent must be positive")
     p, n, q = ctx.p, ctx.n, ctx.q
-    Q = q - 1
     tr_xd = np.zeros(q, dtype=ctx.trace_table.dtype)  # Tr(x^d) by the code of x; 0 at x = 0
-    for start in range(1, q, BLOCK):
-        logs = ctx.log[start : start + BLOCK].astype(np.int64)
-        tr_xd[start : start + BLOCK] = ctx.trace_table[ctx.exp[logs * (d % Q) % Q]]
+    tr_xd[ctx.exp] = _power_traces(ctx.trace_table[ctx.exp], d)
     tr_xd = tr_xd.reshape(p, q // p)  # row = top digit of the code
     top = np.arange(p)[:, None]
-    width = max(1, BLOCK // p)  # columns per bincount
+    width = max(1, ff.LOG_BLOCK // p)  # columns per bincount
     low = np.arange(width) * p  # flat index of (column in the block, fiber 0)
     count_dtype = np.min_scalar_type(q)  # every count is at most q
     tallies = []

@@ -24,8 +24,8 @@
 - scc_oracle: the strongly connected components by mutual reachability,
   one set-based DFS per vertex, the oracle for motif_graph.tarjan_scc.
 - closed_form_carries: every carry of the carry lemma from its own closed
-  form, O(n) big-integer terms per carry, the oracle for
-  digits.carry_sequence (one closed form, then the recurrence).
+  form, O(n) big-integer terms per carry, checked against the lemma's
+  identities; acceptance criterion 6 and the carry tests run on it.
 - best_walks_oracle: a (max, count) walk DP over the whole carry graph,
   every walk of k steps between every two vertices, the oracle for the
   largest closed-walk cost of motif_graph.walk_extremes and for the
@@ -36,16 +36,22 @@
   motif_graph.trace_cycle (which reads its walk off the graph's
   successor table and computes no carry) and the motif words of
   proof_lab.motif_word.
+- weight and check_surgery: the digit sum of a residue, by division, and
+  one of proof_lab's surgeries applied at one pivot of a residue, with its
+  identity z' = -d*x' and both weight contracts checked; the surgery
+  tests and acceptance criterion 7 run on them.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
-from triweil.digits import CarryError
+from triweil.digits import family_params
 from triweil.motif_graph import build_graph
+from triweil.proof_lab import SURGERIES, _term_value, surgery_identity_holds
 
 
 def poly_mulmod(a, b, modulus, p: int) -> tuple[int, ...]:
@@ -242,6 +248,10 @@ def best_walks_oracle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return B, N
 
 
+class CarryError(ValueError):
+    """The two digit lists do not represent the same residue."""
+
+
 def closed_form_carries(s, t, b: int, n: int) -> list[int]:
     """c_i = (1/(b^n-1)) * sum_j (s_{j+i+1} - t_{j+i+1}) * b^j for each i.
 
@@ -285,3 +295,62 @@ def family_carries_oracle(n: int, x: int) -> tuple[list[int], list[int], list[in
     xd, zd = ternary(x, n), ternary(-(3**r + 2) * x, n)
     s = [2 * xd[i] + xd[(i - r) % n] + zd[i] for i in range(n)]
     return xd, zd, closed_form_carries(s, [2] * n, 3, n)
+
+
+def weight(x: int, b: int, n: int) -> int:
+    """The digit sum of x mod b^n - 1 in base b, by division (the zero
+    residue has weight 0, not (b - 1)*n)."""
+    x %= b**n - 1
+    total = 0
+    for _ in range(n):
+        x, digit = divmod(x, b)
+        total += digit
+    return total
+
+
+class SurgeryVerdict(NamedTuple):
+    sid: str
+    applicable: bool
+    identity_ok: bool
+    x_new: int | None
+    z_new: int | None
+    weight_drop_ok: bool | None  # w(x') < w(x)
+    weight_sum_ok: bool | None  # w(x') + w(z') <= w(x) + w(z)
+
+
+def check_surgery(sid: str, n: int, x: int, i: int) -> SurgeryVerdict:
+    """Try one surgery at pivot position i of a candidate minimizer x.
+
+    The exponent is the family's, d = 3^r + 2 with 4r = 1 mod n.
+    Inapplicability (digit conditions unmet) is a normal outcome.  When
+    applicable, verifies z' = -d*x' exactly and both weight contracts.
+    """
+    fam = family_params(n)
+    r, d, m = fam.r, fam.d, fam.m
+    s = SURGERIES[sid]
+    x %= m
+    z = (-d * x) % m
+    identity_ok = surgery_identity_holds(sid, n, r, i)
+
+    digs = {"x": ternary(x, n), "z": ternary(z, n)}
+    applicable = x != 0 and all(
+        digs[var][(i + const + rmult * r) % n] >= lo
+        for var, (const, rmult), lo in s.conditions
+    )
+    if not applicable:
+        return SurgeryVerdict(sid, False, identity_ok, None, None, None, None)
+
+    x2 = (x + _term_value(s.delta_x, i, r, n, m)) % m
+    z2 = (z + _term_value(s.delta_z, i, r, n, m)) % m
+    if identity_ok and (z2 + d * x2) % m != 0:
+        raise AssertionError("surgery produced z' != -d*x'")
+    w = lambda v: weight(v, 3, n)
+    return SurgeryVerdict(
+        sid=sid,
+        applicable=True,
+        identity_ok=identity_ok,
+        x_new=x2,
+        z_new=z2,
+        weight_drop_ok=w(x2) < w(x),
+        weight_sum_ok=w(x2) + w(z2) <= w(x) + w(z),
+    )

@@ -8,7 +8,7 @@ import math
 import pytest
 from oracles import kernel_count_naive, on_curve, ref_of
 
-from triweil import kernel_curve
+from triweil import ff, kernel_curve
 from triweil.ff import build_field
 from triweil.report import passed
 from triweil.kernel_curve import (
@@ -117,7 +117,7 @@ def test_even_n_counts_differ(n, direct, charsum):
 def test_counts_do_not_depend_on_the_block(monkeypatch, p, n, r):
     ctx = build_field(p, n)
     whole = kernel_count_direct(ctx, r), kernel_count_charsum(ctx, r)
-    monkeypatch.setattr(kernel_curve, "LOG_BLOCK", 7)  # many blocks, a ragged last one
+    monkeypatch.setattr(ff, "LOG_BLOCK", 7)  # many blocks, a ragged last one
     assert (kernel_count_direct(ctx, r), kernel_count_charsum(ctx, r)) == whole
 
 

@@ -11,6 +11,7 @@ from oracles import (
     scc_oracle,
     ternary,
     vertex_id,
+    weight,
 )
 
 from triweil import digits, motif_graph, proof_lab
@@ -197,7 +198,7 @@ def test_cycle_cost_raises_on_a_non_edge():
 def test_trace_cycle_unit_example():
     out = trace_cycle(5, 1)
     assert len(out.walk) == 5
-    assert out.cost == 5 + digits.weight(83, 3, 5) - 1 == 7
+    assert out.cost == 5 + weight(83, 3, 5) - 1 == 7
 
 
 def test_trace_cycle_exhaustive_n5():

@@ -4,9 +4,9 @@ minimizer-structure check."""
 import random
 
 import pytest
-from oracles import family_carries_oracle
+from oracles import check_surgery, family_carries_oracle, weight
 
-from triweil.digits import family_witness, weight
+from triweil.digits import family_witness
 from triweil.report import passed
 from triweil.proof_lab import (
     FORBIDDEN_EDGE,
@@ -14,7 +14,6 @@ from triweil.proof_lab import (
     SEQUENCE_TABLE,
     SURGERIES,
     check_minimizer_structure,
-    check_surgery,
     decompose_s2_s4,
     derive_motifs,
     enumerate_sequences,
@@ -83,8 +82,9 @@ def test_derive_motifs():
     assert len(motifs) == 9
     by_name = {m.name: m for m in motifs}
     assert by_name["5A"].values == (1, 2, 0, 0, 1)
-    assert all(2 + 3 * m.c_out == m.digit_sum + m.c_in for m in motifs)
-    assert all(int(m.name[0]) == m.digit_sum for m in motifs)
+    digit_sums = [2 * m.x + m.x_prev + m.z for m in motifs]
+    assert all(2 + 3 * m.c_out == s + m.c_in for m, s in zip(motifs, digit_sums))
+    assert all(int(m.name[0]) == s for m, s in zip(motifs, digit_sums))
     # the surgery-I combination never appears
     assert not any(m.x >= 1 and m.z >= 1 for m in motifs)
 

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from oracles import ref_of, weil_sum_oracle
 
-from triweil import weil
+from triweil import ff, weil
 from triweil.digits import family_params
-from triweil.ff import build_field
+from triweil.ff import FieldCtx, build_field
 from triweil.report import passed
 from triweil.weil import (
     SpectrumError,
@@ -90,12 +90,22 @@ def test_spectrum_transform_matches_per_coefficient_sums(p, n, d):
         assert spec.entries is None
 
 
+@pytest.mark.parametrize("p, n, d", [(3, 5, 83), (5, 3, 3), (7, 2, 5)])
+def test_spectrum_reads_no_log_table(p, n, d):
+    # the input is filled at the codes exp[u] from Tr(gen^(d*u)), so a
+    # context without its log table gives the same spectrum
+    ctx = build_field(p, n)
+    tables = {name: getattr(ctx, name) for name in FieldCtx.__slots__}
+    no_log = FieldCtx(**{**tables, "log": None})
+    assert spectrum(no_log, d) == spectrum(ctx, d)
+
+
 @pytest.mark.parametrize("p, n, d", [(3, 7, 11), (5, 3, 3), (131, 1, 3)])
 def test_spectrum_block_does_not_change_the_spectrum(monkeypatch, p, n, d):
     ctx = build_field(p, n)
     default = spectrum(ctx, d)
     for block in (7, ctx.q):  # ragged blocks (one column each at p = 131); a single block
-        monkeypatch.setattr(weil, "BLOCK", block)
+        monkeypatch.setattr(ff, "LOG_BLOCK", block)
         assert spectrum(ctx, d) == default, block
 
 
@@ -158,7 +168,7 @@ def test_tally_of_one_chunk_allocates_less_than_its_rows(monkeypatch):
 def test_trace_tables_take_the_logs_a_block_at_a_time(monkeypatch):
     # 4 B per element of one-byte tables at the peak, no q-sized int64 index
     ctx = build_field(3, 9)
-    monkeypatch.setattr(weil, "BLOCK", 1 << 10)
+    monkeypatch.setattr(ff, "LOG_BLOCK", 1 << 10)
     weil._trace_of_powers.cache_clear()
     tracemalloc.start()
     try:
