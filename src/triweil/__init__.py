@@ -21,7 +21,7 @@ from .digits import (
     stickelberger_bound,
     verify_divisibility,
 )
-from .motif_graph import bellman_ford, build_graph, graph_report, tarjan_scc, trace_cycle
+from .motif_graph import bellman_ford, build_graph, graph_report, strong_components, trace_cycle
 from .proof_lab import (
     check_minimizer_structure,
     derive_motifs,

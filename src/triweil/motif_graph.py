@@ -74,20 +74,20 @@ Any ternary carry walk of the divisibility argument traces a closed walk
 here whose total cost is n + w(d*x) - w(x); the absence of a negative
 cycle therefore proves the weight inequality.  Bellman-Ford certifies
 that there is none, starting every vertex at distance 0 so that no cycle
-is out of its reach.  It runs once per process over all 729 vertices,
-and that one run gives both graph_report's verdict and, through the
-mirror, the potential of walk_extremes.  Tarjan's algorithm splits the
-graph into the strongly connected components graph_report counts.  The
-graph is built once per process and shared by graph_report,
-walk_extremes and trace_cycle.  The oracle for the verdict is
-min_short_cycle_cost in tests/oracles.py, a bounded exhaustive scan of
-simple cycles; only the tests run it.
+is out of its reach.  It runs once per process on the whole graph, and
+that one run gives both graph_report's verdict and, through the mirror,
+the potential of walk_extremes.  Kosaraju's two searches, forward over
+succ and back over the predecessor lists, split the graph into the
+strongly connected components graph_report counts.  The graph is built
+once per process and shared by graph_report, walk_extremes and
+trace_cycle.  The oracle for the verdict is min_short_cycle_cost in
+tests/oracles.py, a bounded exhaustive scan of simple cycles; only the
+tests run it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple
 
 from . import digits
@@ -124,93 +124,73 @@ def build_graph() -> CostGraph:
     return CostGraph(succ=tuple(succ), cost=tuple(cost))
 
 
-class SCCReport(NamedTuple):
-    sizes: tuple[int, ...]  # component id -> size
-    nontrivial: tuple[tuple[int, ...], ...]  # members of size>1 or self-loop comps
+def strong_components(g: CostGraph) -> list[tuple[int, ...]]:
+    """The strongly connected components of g, each a sorted tuple.
 
-    @property
-    def num_components(self) -> int:
-        return len(self.sizes)
-
-
-def tarjan_scc(g: CostGraph) -> SCCReport:
-    """Iterative Tarjan; components are numbered in discovery order.
-
-    Each open vertex waits on the work stack beside its successor iterator.
-    A virtual root (None) joined to every vertex opens each DFS tree; when
-    it resumes, every vertex seen so far lies in a closed component.
+    Kosaraju's two passes: a DFS over succ records the finish order, then
+    a search over the predecessor lists, latest-finished vertex first,
+    collects each component.
     """
-    adj = g.succ
-    index = [-1] * len(adj)
-    lowlink = [0] * len(adj)
-    on_stack = [False] * len(adj)
-    stack: list[int] = []
-    counter = itertools.count()
-    components: list[list[int]] = []
-
-    work = [(None, iter(range(len(adj))))]
-    while work:
-        v, successors = work[-1]
-        for w in successors:
-            if index[w] == -1:
-                index[w] = lowlink[w] = next(counter)
-                stack.append(w)
-                on_stack[w] = True
-                work.append((w, iter(adj[w])))
-                break
-            if on_stack[w]:
-                lowlink[v] = min(lowlink[v], index[w])
-        else:  # every successor of v is done: close v
-            work.pop()
-            if v is None:
-                break
-            if lowlink[v] < index[v]:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            else:
-                members = [stack.pop()]
-                while members[-1] != v:
-                    members.append(stack.pop())
-                for w in members:
-                    on_stack[w] = False
-                components.append(members)
-
-    nontrivial = tuple(
-        tuple(sorted(members))
-        for members in components
-        if len(members) > 1 or members[0] in adj[members[0]]
-    )
-    return SCCReport(
-        sizes=tuple(len(m) for m in components),
-        nontrivial=nontrivial,
-    )
+    succ = g.succ
+    order: list[int] = []
+    seen = [False] * len(succ)
+    for root in range(len(succ)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+            else:  # every successor of v is done: v finishes
+                work.pop()
+                order.append(v)
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, targets in enumerate(succ):
+        for v in targets:
+            pred[v].append(u)
+    components = []
+    for root in reversed(order):
+        if not seen[root]:
+            continue
+        seen[root] = False
+        members, todo = [root], [root]
+        while todo:
+            for w in pred[todo.pop()]:
+                if seen[w]:
+                    seen[w] = False
+                    members.append(w)
+                    todo.append(w)
+        components.append(tuple(sorted(members)))
+    return components
 
 
-def bellman_ford(g: CostGraph, vertices) -> tuple[dict[int, int] | None, list[int] | None]:
-    """Bellman-Ford on the subgraph induced by the given vertex set.
+def bellman_ford(g: CostGraph) -> tuple[list[int] | None, list[int] | None]:
+    """Bellman-Ford on the whole of g.
 
     Every vertex starts at distance 0, as if a source were joined to all
-    of them, so every negative cycle in the set is in reach.  A round of
-    relaxation that changes nothing proves there is none and returns
-    (dist, None), dist[v] being the least cost of a walk in the set that
-    ends at v (0 for the empty walk).  If round |V| still relaxes, |V|
-    predecessor steps back from the last vertex it relaxed land on a
-    negative cycle, returned as (None, cycle) with cycle a vertex list.
+    of them, so every negative cycle is in reach.  A round of relaxation
+    that changes nothing proves there is none and returns (dist, None),
+    dist[v] being the least cost of a walk that ends at v (0 for the empty
+    walk).  If round |V| still relaxes, |V| predecessor steps back from
+    the last vertex it relaxed land on a negative cycle, returned as
+    (None, cycle) with cycle a vertex list.
     """
-    vset = set(vertices)
-    edges = [(u, v, g.cost[u]) for u in sorted(vset) for v in g.succ[u] if v in vset]
-    dist = dict.fromkeys(vset, 0)
-    if not edges:
-        return dist, None
+    edges = [(u, v, g.cost[u]) for u, targets in enumerate(g.succ) for v in targets]
+    dist = [0] * len(g.succ)
     pred: dict[int, int] = {}
-    for _ in vset:
+    for _ in g.succ:
         x = None  # the last vertex relaxed in this round
         for u, v, c in edges:
             if dist[u] + c < dist[v]:
                 dist[v], pred[v], x = dist[u] + c, u, v
         if x is None:
             return dist, None
-    for _ in vset:
+    for _ in g.succ:
         x = pred[x]
     cycle = [x]
     while pred[cycle[-1]] != x:
@@ -219,21 +199,10 @@ def bellman_ford(g: CostGraph, vertices) -> tuple[dict[int, int] | None, list[in
 
 
 @functools.cache
-def _distances() -> tuple[dict[int, int] | None, list[int] | None]:
+def _distances() -> tuple[list[int] | None, list[int] | None]:
     """bellman_ford over the whole carry graph, run once per process: its
     cycle is graph_report's verdict, its distances the walk potential."""
-    return bellman_ford(build_graph(), range(NUM_VERTICES))
-
-
-def cycle_cost(g: CostGraph, cycle: list[int]) -> int:
-    """The cost of the closed walk through cycle; KeyError on a non-edge."""
-    total = 0
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        if v not in g.succ[u]:
-            raise KeyError((u, v))
-        total += g.cost[u]
-    return total
+    return bellman_ford(build_graph())
 
 
 class TraceResult(NamedTuple):
@@ -439,13 +408,14 @@ def graph_report() -> GraphReport:
     no-negative-cycle verdict; the tests back it with the bounded
     exhaustive cycle scan."""
     g = build_graph()
-    scc = tarjan_scc(g)
-    nontrivial = scc.nontrivial
+    components = strong_components(g)
+    nontrivial = [m for m in components if len(m) > 1 or m[0] in g.succ[m[0]]]
     sizes = tuple(sorted((len(m) for m in nontrivial), reverse=True))
 
+    # a 2-vertex component holds both edges of the 2-cycle through it
     pair = next((m for m in nontrivial if len(m) == 2), None)
     pair_tuples = tuple(vertex_tuple(v) for v in pair) if pair else ()
-    pair_cost = cycle_cost(g, list(pair)) if pair else None
+    pair_cost = sum(g.cost[v] for v in pair) if pair else None
 
     cycle = _distances()[1]
     neg = tuple(cycle) if cycle else None
@@ -454,7 +424,7 @@ def graph_report() -> GraphReport:
     checks = [
         Check("graph.vertices", 729, num_vertices),
         Check("graph.edges", 2187, num_edges),
-        Check("graph.scc-count", 258, scc.num_components),
+        Check("graph.scc-count", 258, len(components)),
         Check("graph.nontrivial-sizes", (471, 2), sizes),
         Check("graph.pair-members", tuple(sorted(PAIR_VERTICES)), tuple(sorted(pair_tuples))),
         Check("graph.negative-cycle", None, neg),
@@ -462,7 +432,7 @@ def graph_report() -> GraphReport:
     return GraphReport(
         num_vertices=num_vertices,
         num_edges=num_edges,
-        num_components=scc.num_components,
+        num_components=len(components),
         nontrivial_sizes=sizes,
         pair_component=pair_tuples,
         pair_cycle_cost=pair_cost,

@@ -187,14 +187,6 @@ def succession_edges() -> set[tuple[str, str]]:
     return edges
 
 
-def is_starting(m: Motif) -> bool:
-    return m.x_prev == 0
-
-
-def is_ending(m: Motif) -> bool:
-    return m.x == 0
-
-
 def enumerate_sequences() -> tuple[SequencePattern, ...]:
     """All start-to-end motif chains with non-start/non-end interiors.
 
@@ -206,10 +198,10 @@ def enumerate_sequences() -> tuple[SequencePattern, ...]:
     by_name = {m.name: m for m in MOTIF_TABLE}
     edges = succession_edges()
     found: set[tuple[str, ...]] = set()
-    chains = [(m.name,) for m in MOTIF_TABLE if is_starting(m)]
+    chains = [(m.name,) for m in MOTIF_TABLE if m.x_prev == 0]
     while chains:
         path = chains.pop()
-        if is_ending(by_name[path[-1]]):
+        if by_name[path[-1]].x == 0:
             found.add(path)
         else:
             chains.extend(path + (b,) for a, b in edges if a == path[-1])

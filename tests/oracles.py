@@ -20,9 +20,13 @@
 - min_short_cycle_cost: a bounded exhaustive cycle scan, the oracle for
   the single whole-graph Bellman-Ford verdict of motif_graph.graph_report
   (scanned per nontrivial component, where every cycle lies) and, with
-  max_len = |V|, for motif_graph.bellman_ford on small vertex sets.
+  max_len = |V|, for motif_graph.bellman_ford on small graphs.
+- induced and cycle_cost: the subgraph a vertex set induces, relabelled
+  0..k-1, which the tests hand to motif_graph.bellman_ford; and the cost
+  of a closed walk, edge by edge, which reads its negative cycles.
 - scc_oracle: the strongly connected components by mutual reachability,
-  one set-based DFS per vertex, the oracle for motif_graph.tarjan_scc.
+  one set-based DFS per vertex, the oracle for
+  motif_graph.strong_components.
 - closed_form_carries: every carry of the carry lemma from its own closed
   form, O(n) big-integer terms per carry, checked against the lemma's
   identities; acceptance criterion 6 and the carry tests run on it.
@@ -50,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from triweil.digits import family_params
-from triweil.motif_graph import build_graph
+from triweil.motif_graph import CostGraph, build_graph
 from triweil.proof_lab import SURGERIES, _term_value, surgery_identity_holds
 
 
@@ -209,6 +213,27 @@ def min_short_cycle_cost(g, vertices, max_len: int = 8) -> int | None:
                 elif w > start and w not in seen and depth + 1 < max_len:
                     stack.append((w, cost + c, depth + 1, seen | {w}))
     return best
+
+
+def induced(g, vertices) -> CostGraph:
+    """The subgraph of g on the given vertices, the i-th of them (in the
+    order given) relabelled i; each vertex keeps its cost."""
+    label = {v: i for i, v in enumerate(vertices)}
+    return CostGraph(
+        succ=tuple(tuple(sorted(label[w] for w in g.succ[v] if w in label)) for v in vertices),
+        cost=tuple(g.cost[v] for v in vertices),
+    )
+
+
+def cycle_cost(g, cycle) -> int:
+    """The cost of the closed walk through cycle; KeyError on a non-edge."""
+    total = 0
+    for i, u in enumerate(cycle):
+        v = cycle[(i + 1) % len(cycle)]
+        if v not in g.succ[u]:
+            raise KeyError((u, v))
+        total += g.cost[u]
+    return total
 
 
 def scc_oracle(g) -> set[frozenset[int]]:

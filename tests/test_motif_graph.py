@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from oracles import (
     best_walks_oracle,
+    cycle_cost,
     family_carries_oracle,
+    induced,
     min_short_cycle_cost,
     scc_oracle,
     ternary,
@@ -25,9 +27,8 @@ from triweil.motif_graph import (
     PAIR_VERTICES,
     bellman_ford,
     build_graph,
-    cycle_cost,
     graph_report,
-    tarjan_scc,
+    strong_components,
     trace_cycle,
     vertex_tuple,
     walk_extremes,
@@ -78,29 +79,32 @@ def test_edge_costs_range():
 
 def test_scc_decomposition():
     g = build_graph()
-    scc = tarjan_scc(g)
-    assert scc.num_components == 258
-    assert sum(scc.sizes) == 729
-    sizes = sorted((len(m) for m in scc.nontrivial), reverse=True)
-    assert sizes == [471, 2]
-    pair = next(m for m in scc.nontrivial if len(m) == 2)
+    components = strong_components(g)
+    assert len(components) == 258
+    assert sorted(v for m in components for v in m) == list(range(729))
+    nontrivial = [m for m in components if len(m) > 1 or m[0] in g.succ[m[0]]]
+    assert sorted(map(len, nontrivial), reverse=True) == [471, 2]
+    pair = next(m for m in nontrivial if len(m) == 2)
     assert {vertex_tuple(v) for v in pair} == set(PAIR_VERTICES)
+    rep = graph_report()
+    assert (rep.num_components, rep.nontrivial_sizes) == (258, (471, 2))
 
 
 def test_no_negative_cycle_in_the_carry_graph():
     # one run over all 729 vertices; its distances satisfy every edge
     g = build_graph()
-    dist, cycle = bellman_ford(g, range(729))
+    dist, cycle = bellman_ford(g)
     assert cycle is None and (dist, cycle) == _distances()
     assert all(dist[v] <= dist[u] + g.cost[u] for u in range(729) for v in g.succ[u])
-    assert max(dist.values()) == 0
+    assert len(dist) == 729 and max(dist) == 0
 
 
 def test_pair_cycle_cost_is_two():
-    # each of the two edges of the order-2 component costs 1
+    # each of the two edges of the order-2 component costs 1; graph_report
+    # sums the costs of its two vertices, the oracle walks the 2-cycle
     g = build_graph()
     pair = [vertex_id(t) for t in PAIR_VERTICES]
-    assert cycle_cost(g, pair) == 2
+    assert graph_report().pair_cycle_cost == cycle_cost(g, pair) == 2
 
 
 def test_short_cycle_oracle_backs_bellman_ford():
@@ -108,32 +112,35 @@ def test_short_cycle_oracle_backs_bellman_ford():
     # whole graph the verdict is about
     g = build_graph()
     assert _distances()[1] is None
-    for members in tarjan_scc(g).nontrivial:
-        best = min_short_cycle_cost(g, members, max_len=8)
-        assert best is not None and best >= 0
+    for members in strong_components(g):
+        if len(members) > 1 or members[0] in g.succ[members[0]]:
+            best = min_short_cycle_cost(g, members, max_len=8)
+            assert best is not None and best >= 0
 
 
 def test_bellman_ford_finds_synthetic_negative_cycle():
     g = CostGraph(succ=((1,), (0,)), cost=(-1, -1))
-    dist, cyc = bellman_ford(g, [0, 1])
+    dist, cyc = bellman_ford(g)
     assert dist is None and cyc is not None
     assert cycle_cost(g, cyc) < 0
 
 
-def test_tarjan_singleton_is_nontrivial_only_with_a_self_loop():
+def test_singleton_component_is_nontrivial_only_with_a_self_loop(monkeypatch):
     # the carry graph's self-loop vertices (0, 364, 728) all sit in the
     # 471-vertex component, so only a synthetic graph reaches this branch
     g = CostGraph(succ=((0,), (0,)), cost=(1, 1))
-    scc = tarjan_scc(g)
-    assert scc.num_components == 2 and scc.sizes == (1, 1)
-    assert scc.nontrivial == ((0,),)
+    assert sorted(strong_components(g)) == [(0,), (1,)]
+    monkeypatch.setattr(motif_graph, "build_graph", lambda: g)
+    monkeypatch.setattr(motif_graph, "_distances", lambda: bellman_ford(g))
+    rep = graph_report()
+    assert (rep.num_components, rep.nontrivial_sizes, rep.pair_cycle_cost) == (2, (1,), None)
 
 
 def test_bellman_ford_reads_only_the_given_vertices():
     # a negative 2-cycle on {0, 1}, a nonnegative one on {2, 3}, and 1 -> 2
     g = CostGraph(succ=((1,), (0, 2), (3,), (2,)), cost=(-1, -1, 0, 1))
-    assert bellman_ford(g, [2, 3]) == ({2: 0, 3: 0}, None)
-    dist, cyc = bellman_ford(g, [0, 1, 2, 3])
+    assert bellman_ford(induced(g, [2, 3])) == ([0, 0], None)
+    dist, cyc = bellman_ford(g)
     assert dist is None and set(cyc) == {0, 1}
     assert cycle_cost(g, cyc) == -2
 
@@ -141,7 +148,7 @@ def test_bellman_ford_reads_only_the_given_vertices():
 def test_bellman_ford_reaches_a_cycle_no_single_source_reaches():
     # vertex 0 reaches only itself, so a search from 0 alone misses {1, 2}
     g = CostGraph(succ=((0,), (2,), (1,)), cost=(1, -1, -1))
-    dist, cyc = bellman_ford(g, [0, 1, 2])
+    dist, cyc = bellman_ford(g)
     assert dist is None and set(cyc) == {1, 2}
     assert cycle_cost(g, cyc) == -2
 
@@ -155,17 +162,14 @@ def _random_graph(rng: random.Random, size: int) -> CostGraph:
     )
 
 
-def test_tarjan_matches_mutual_reachability_on_random_graphs():
+def test_strong_components_match_mutual_reachability_on_random_graphs():
     rng = random.Random(18)
     for _ in range(300):
         g = _random_graph(rng, rng.randint(1, 39))
-        scc = tarjan_scc(g)
-        comps = scc_oracle(g)
-        assert sorted(scc.sizes) == sorted(map(len, comps))
-        assert scc.num_components == len(comps)
-        assert set(map(frozenset, scc.nontrivial)) == {
-            c for c in comps if len(c) > 1 or any(v in g.succ[v] for v in c)
-        }
+        components, comps = strong_components(g), scc_oracle(g)
+        assert all(list(m) == sorted(m) for m in components)
+        assert len(components) == len(comps)
+        assert set(map(frozenset, components)) == comps
 
 
 def test_bellman_ford_matches_exhaustive_cycle_scan_on_random_subsets():
@@ -174,15 +178,17 @@ def test_bellman_ford_matches_exhaustive_cycle_scan_on_random_subsets():
         g = _random_graph(rng, rng.randint(1, 10))
         verts = rng.sample(range(len(g.succ)), rng.randint(1, min(7, len(g.succ))))
         best = min_short_cycle_cost(g, verts, max_len=len(verts))
-        dist, cyc = bellman_ford(g, verts)
+        h = induced(g, verts)
+        dist, cyc = bellman_ford(h)
         assert (cyc is not None) == (best is not None and best < 0) == (dist is None)
         if cyc is not None:
-            assert set(cyc) <= set(verts) and cycle_cost(g, cyc) < 0
+            assert cycle_cost(h, cyc) < 0
         else:  # dist solves dist(v) = min(0, dist(u) + cost(u) over edges u -> v)
-            edges = [(u, v, g.cost[u]) for u in verts for v in g.succ[u] if v in verts]
-            assert set(dist) == set(verts)
+            edges = [(u, v, h.cost[u]) for u, targets in enumerate(h.succ) for v in targets]
+            assert len(dist) == len(verts)
             assert all(
-                dist[v] == min([0] + [dist[u] + c for u, w, c in edges if w == v]) for v in verts
+                dist[v] == min([0] + [dist[u] + c for u, w, c in edges if w == v])
+                for v in range(len(verts))
             )
 
 
@@ -372,7 +378,7 @@ def test_best_walks_match_per_vertex_oracle(n):
 
 def _potential() -> list[int]:
     """phi(v) = -dist(728 - v) from the whole-graph Bellman-Ford distances."""
-    dist, _ = bellman_ford(build_graph(), range(729))
+    dist, _ = bellman_ford(build_graph())
     return [-dist[728 - v] for v in range(729)]
 
 
@@ -409,7 +415,7 @@ def test_negative_loop_fails_the_verdict_and_the_potential(monkeypatch):
     cost[0], cost[728] = -1, 3
     bad = g._replace(cost=tuple(cost))
     _check_cost_mirror(bad)
-    dist, cycle = bellman_ford(bad, range(729))
+    dist, cycle = bellman_ford(bad)
     assert dist is None and 0 in cycle and cycle_cost(bad, cycle) < 0
     with pytest.raises(AssertionError, match="reduced cost > 0"):
         _reduced_costs(g.succ, cost, _potential())
