@@ -3,7 +3,8 @@
 Elements are integer codes in 0..q-1: an element with coordinates
 (c_0, ..., c_{n-1}) in the power basis 1, alpha, ..., alpha^{n-1} has
 code sum(c_i * p^i).  A FieldCtx is its tables: exp and log for a fixed
-generator, and the absolute trace of every code.  Callers multiply, take
+generator, and the absolute trace of every power of it, by discrete log
+(the one index both routes to the Weil sum read).  Callers multiply, take
 powers and apply Frobenius on discrete logs held in arrays (gen^i * gen^j
 is exp[(i + j) mod q-1]); adding 1 is the Zech logarithm,
 log(1 + gen^k), read off the tables for an array of logs.  The context
@@ -26,10 +27,12 @@ alpha^j, so Tr(alpha^j) is their trace.  An F_p-linear map on codes
 _linear_table from the images of the basis, keeping their digits as
 small-int planes and packing them into codes at the end.  exp is filled
 in blocks of EXP_BLOCK: the first by _powers, then one gather per block
-through the table of multiplication by gen^EXP_BLOCK, and log is then
-filled a block of exp at a time.  The construction divides no q-sized
-array, and the Zech logarithm takes one residue mod p per log.  The tests
-check the tables against an independent polynomial-arithmetic field.
+through the table of multiplication by gen^EXP_BLOCK.  log and
+trace_table are then filled a block of exp at a time, the second by a
+gather of the tabulated trace at the codes in the block.  The
+construction divides no q-sized array, and the Zech logarithm takes one
+residue mod p per log.  The tests check the tables against an
+independent polynomial-arithmetic field.
 
 Each table is held at the width its values need: exp and log are int32
 below q = 2^31 (int64 above), and trace_table is the narrowest unsigned
@@ -192,7 +195,7 @@ class FieldCtx:
         "gen",  # code of the fixed multiplicative generator
         "exp",  # exp[i] = code of gen^i, length q-1; int32 below q = 2^31
         "log",  # log[code] = i; log[0] = -1; the dtype of exp
-        "trace_table",  # absolute trace per code, values in 0..p-1; uint8 for p < 256
+        "trace_table",  # Tr(gen^i) by log i, length q-1, values in 0..p-1; uint8 for p < 256
     )
 
     def __init__(
@@ -347,9 +350,9 @@ def _build_field(p: int, n: int) -> FieldCtx:
 
     # exp in blocks of B: the first block from the digits of gen^0..gen^(B-1),
     # then each block is the block before it times gen^B, one gather
-    # through the table of that multiplication; then log, a block of exp at
-    # a time.  At most two q-sized tables are alive at once: the gather
-    # table and exp, then exp and log.
+    # through the table of that multiplication; then log and trace_table, a
+    # block of exp at a time.  At most two tables of exp's width are alive
+    # at once: the gather table and exp, then exp and log.
     Q = q - 1
     B = min(EXP_BLOCK, Q)
     dtype = _index_dtype(q)
@@ -362,14 +365,18 @@ def _build_field(p: int, n: int) -> FieldCtx:
     del times_gen_b
     if not np.array_equal(np.array(code_digits(int(exp[-1]), p, n)) @ M_gen % p, one[0]):
         raise FieldError("generator power cycle did not close")  # defensive
-    log = np.full(q, -1, dtype=dtype)
-    for start in range(0, Q, B):
-        log[exp[start : start + B]] = np.arange(start, min(start + B, Q), dtype=dtype)
 
     # Tr(alpha^j) is the trace of multiplication by alpha^j, whose row k
-    # holds the digits of alpha^(j+k): rows j..j+n-1 of alpha's powers
+    # holds the digits of alpha^(j+k): rows j..j+n-1 of alpha's powers;
+    # the trace of every code is then read at the codes exp[u]
     alpha = _powers(one[0], C, p, 2 * n - 1)
-    trace_table = _linear_table([[int(np.trace(alpha[j : j + n])) % p] for j in range(n)], p)
+    trace_of_code = _linear_table([[int(np.trace(alpha[j : j + n])) % p] for j in range(n)], p)
+    log = np.full(q, -1, dtype=dtype)
+    trace_table = np.empty(Q, dtype=trace_of_code.dtype)
+    for start in range(0, Q, B):
+        codes = exp[start : start + B]
+        log[codes] = np.arange(start, start + codes.size, dtype=dtype)
+        trace_table[start : start + B] = trace_of_code[codes]
     for table in (exp, log, trace_table):
         table.setflags(write=False)  # shared by every caller of build_field(p, n)
 

@@ -57,12 +57,6 @@ def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
     return count
 
 
-class CharSumCount(NamedTuple):
-    count: int  # shadows tuple.count, which no caller uses
-    eta_sum: int  # sum over u in F of eta(u^2 + 1)
-    hypotheses_ok: bool  # n odd, gcd(r, n) = 1 and gcd(p^r + 2, q - 1) = 1
-
-
 def _eta_power_plus_one(ctx: FieldCtx, e: int) -> tuple[int, int]:
     """(sum of eta(w^e + 1), number of w with w^e = -1) over the nonzero w.
 
@@ -84,15 +78,14 @@ def _eta_power_plus_one(ctx: FieldCtx, e: int) -> tuple[int, int]:
     return g * total, g * zeros
 
 
-def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
+def kernel_count_charsum(ctx: FieldCtx, r: int) -> int:
     """|K| through the quadratic character, O(q).
 
     |K| = (2q - 1) + (q - 1) - sum over nonzero w of eta(w^(p^2r - p^r) + 1).
     Outside the hypotheses (n odd, gcd(r, n) = 1, and d = p^r + 2 coprime
-    to q - 1) the count is still returned, just flagged, so the identity
-    can be observed failing.
-    Both character sums run over the logs of the image subgroup, one block
-    of logs at a time.
+    to q - 1) the count is still returned, and kernel_report flags it, so
+    the identity can be observed failing.  The character sum runs over the
+    logs of the image subgroup, one block of logs at a time.
     """
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
     e2 = (pow(p, 2 * r, Q) - pow(p, r, Q)) % Q
@@ -101,17 +94,7 @@ def kernel_count_charsum(ctx: FieldCtx, r: int) -> CharSumCount:
     s, hits_minus_one = _eta_power_plus_one(ctx, e2)
     if hits_minus_one and not minus_one_square:
         raise ArithmeticError("w^(p^2r - p^r) = -1 although -1 is a non-square")
-    count = (2 * q - 1) + (q - 1) - s
-
-    # u = 0 gives eta(1) = 1; the nonzero u = gen^lu have u^2 = exp[2*lu]
-    eta_sum = 1 + _eta_power_plus_one(ctx, 2)[0]
-
-    hyp = (
-        ctx.n % 2 == 1
-        and math.gcd(r, ctx.n) == 1
-        and math.gcd((pow(p, r, Q) + 2) % Q, Q) == 1
-    )
-    return CharSumCount(count=count, eta_sum=eta_sum, hypotheses_ok=hyp)
+    return (2 * q - 1) + (q - 1) - s
 
 
 class KernelReport(NamedTuple):
@@ -125,21 +108,31 @@ class KernelReport(NamedTuple):
 
 
 def kernel_report(ctx: FieldCtx, r: int) -> KernelReport:
-    q = ctx.q
+    """Both counts of |K|, the sum of eta(u^2 + 1) over u in F, and whether
+    r meets the hypotheses of the character-sum identity (n odd,
+    gcd(r, n) = 1 and gcd(p^r + 2, q - 1) = 1)."""
+    p, q, Q = ctx.p, ctx.q, ctx.q - 1
     direct = kernel_count_direct(ctx, r)
-    cs = kernel_count_charsum(ctx, r)
+    charsum = kernel_count_charsum(ctx, r)
+    # u = 0 gives eta(1) = 1; the nonzero u = gen^lu have u^2 = exp[2*lu]
+    eta_sum = 1 + _eta_power_plus_one(ctx, 2)[0]
+    hyp = (
+        ctx.n % 2 == 1
+        and math.gcd(r, ctx.n) == 1
+        and math.gcd((pow(p, r, Q) + 2) % Q, Q) == 1
+    )
     checks = [
-        Check("kernel.direct-equals-charsum", direct, cs.count),
+        Check("kernel.direct-equals-charsum", direct, charsum),
         Check("kernel.count", 3 * q, direct),
-        Check("kernel.eta-shift-sum", -1, cs.eta_sum),
-        Check("kernel.hypotheses", True, cs.hypotheses_ok),
+        Check("kernel.eta-shift-sum", -1, eta_sum),
+        Check("kernel.hypotheses", True, hyp),
     ]
     return KernelReport(
         q=q,
         r=r,
         count_direct=direct,
-        count_charsum=cs.count,
+        count_charsum=charsum,
         axes_count=2 * q - 1,
-        eta_sum=cs.eta_sum,
+        eta_sum=eta_sum,
         checks=checks,
     )

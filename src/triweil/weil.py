@@ -6,12 +6,13 @@ the counts on the nonzero trace fibers agree the sum is the rational
 integer N_0 - N_1, which for odd characteristic happens exactly when
 d = 1 mod p-1.
 
-One sum is p - 1 count passes over q one-byte entries (for p < 128),
-read off two cached trace tables without a copy (see weil_sum).  The
-whole spectrum over the nonzero coefficients is one exact p-ary
-Walsh-Hadamard transform of the fiber indicator of Tr(x^d): n*p^2*q
-integer adds in an O(q) working set.  Its equal fiber vectors are counted
-on one exact int64 key per vector, sorted in place.
+Both routes read the trace by discrete log, from the field's table of
+Tr(gen^u).  One sum is p - 1 count passes over q one-byte entries (for
+p < 128), read off two cached trace tables without a copy (see
+weil_sum).  The whole spectrum over the nonzero coefficients is one exact
+p-ary Walsh-Hadamard transform of the fiber indicator of Tr(x^d):
+n*p^2*q integer adds in an O(q) working set.  Its equal fiber vectors
+are counted on one exact int64 key per vector, sorted in place.
 """
 
 from __future__ import annotations
@@ -65,40 +66,28 @@ class Spectrum(NamedTuple):
         return self.entries is not None
 
 
-def _power_traces(trexp: np.ndarray, d: int) -> np.ndarray:
-    """Tr(gen^(d*u)) for u = 0..q-2, in the dtype of trexp = Tr(gen^u).
-
-    One gather per block of int64 logs d*u mod q-1 (ff.log_blocks), never a
-    q-sized int64 index.  No log table is read: the spectrum puts entry u at
-    the code exp[u], and weil_sum reads it by u.
-    """
-    import numpy as np
-    Q = trexp.size
-    out = np.empty_like(trexp)
-    for u in log_blocks(Q):
-        out[u[0] : u[-1] + 1] = trexp[u * (d % Q) % Q]
-    return out
-
-
 @functools.lru_cache(maxsize=1)
 def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(trd, twice): p + Tr(gen^(d*u)) for u = 0..q-2, and Tr(gen^u) for
     u = 0..q-2 twice over.
 
-    Tr(a*gen^u) for a = gen^k is then the view twice[k : k + q - 1], so no
-    coefficient needs a copy.  Both hold values up to 2p - 1 in the narrowest
-    unsigned dtype that holds them (uint8 for p < 128), so trd minus that
-    view never wraps: 3 bytes per element.  trd is _power_traces' table,
-    the spectrum's input too, shifted by p.  Kept for the last
-    (ctx, d), so repeated weil_sum calls on one field and exponent share the
-    tables; both are read-only.
+    trd reads the trace table, which is indexed by log, at d*u mod q-1:
+    one gather per block of int64 logs (ff.log_blocks), never a q-sized
+    int64 index.  Tr(a*gen^u) for a = gen^k is then the view
+    twice[k : k + q - 1], so no coefficient needs a copy.  Both hold values
+    up to 2p - 1 in the narrowest unsigned dtype that holds them (uint8 for
+    p < 128), so trd minus that view never wraps: 3 bytes per element.
+    Kept for the last (ctx, d), so repeated weil_sum calls on one field and
+    exponent share the tables; both are read-only.
     """
     import numpy as np
     dtype = np.min_scalar_type(2 * ctx.p - 1)
-    trexp = ctx.trace_table[ctx.exp].astype(dtype, copy=False)
-    trd = _power_traces(trexp, d)
+    tr, Q = ctx.trace_table, ctx.q - 1
+    trd = np.empty(Q, dtype=dtype)
+    for u in log_blocks(Q):
+        trd[u[0] : u[-1] + 1] = tr[u * (d % Q) % Q]
     trd += dtype.type(ctx.p)
-    twice = np.concatenate((trexp, trexp))
+    twice = np.concatenate((tr, tr), dtype=dtype)
     trd.setflags(write=False)
     twice.setflags(write=False)
     return trd, twice
@@ -217,20 +206,23 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     n*p^2*q element operations.  It runs in chunks of one top digit of b.
 
     The input, Tr(x^d) by the code of x, is one array of q traces in the
-    trace table's dtype: at x = gen^u it is Tr(gen^(d*u)), the table
-    _power_traces makes for weil_sum too, so no log table is read.  Each
-    chunk counts its top axis a block of columns at a time, straight into
-    the narrowest unsigned dtype that holds q.  The working set is thus that input and three arrays of q
-    counts, never q*p entries and no q-sized int64 array.  Each chunk's q/p
-    fiber vectors are tallied on int64 keys (8 B each, see _tally_rows) and
-    the p tallies are merged once, at the end.
+    trace table's dtype: at the code exp[u] it is the table's entry at
+    d*u mod q-1, scattered one block of int64 logs u at a time
+    (ff.log_blocks), so no log table is read.  Each chunk counts its top
+    axis a block of columns at a time, straight into the narrowest unsigned
+    dtype that holds q.  The working set is thus that input and three
+    arrays of q counts, never q*p entries and no q-sized int64 array.  Each
+    chunk's q/p fiber vectors are tallied on int64 keys (8 B each, see
+    _tally_rows) and the p tallies are merged once, at the end.
     """
     import numpy as np
     if d < 1:
         raise ValueError("exponent must be positive")
-    p, n, q = ctx.p, ctx.n, ctx.q
+    p, n, q, Q = ctx.p, ctx.n, ctx.q, ctx.q - 1
     tr_xd = np.zeros(q, dtype=ctx.trace_table.dtype)  # Tr(x^d) by the code of x; 0 at x = 0
-    tr_xd[ctx.exp] = _power_traces(ctx.trace_table[ctx.exp], d)
+    for u in log_blocks(Q):
+        tr_xd[ctx.exp[u[0] : u[-1] + 1]] = ctx.trace_table[u * (d % Q) % Q]
+    del u  # the last block of int64 logs, not kept through the transform
     tr_xd = tr_xd.reshape(p, q // p)  # row = top digit of the code
     top = np.arange(p)[:, None]
     width = max(1, ff.LOG_BLOCK // p)  # columns per bincount

@@ -62,12 +62,13 @@ def test_prime_field_trivial():
     ctx = build_field(3, 1)
     assert ctx.q == 3
     assert ctx.modulus == (0, 1)
-    assert ctx.trace_table.tolist() == [0, 1, 2]
+    assert ctx.gen == 2
+    assert ctx.trace_table.tolist() == [1, 2]  # Tr(gen^0), Tr(gen^1): by log
 
 
 def test_trace_of_one_is_n_mod_p():
     ctx = build_field(3, 5)
-    assert ctx.trace_table[1] == 5 % 3 == 2
+    assert ctx.trace_table[0] == 5 % 3 == 2  # gen^0 = 1
 
 
 def test_rejects_bad_parameters():
@@ -191,16 +192,20 @@ def test_inverse_and_negation():
 def test_trace_linear_and_surjective():
     for p, n in [(3, 5), (5, 2)]:
         ctx = build_field(p, n)
-        tr = ctx.trace_table
-        fibers = np.bincount(tr, minlength=p)
-        assert list(fibers) == [ctx.q // p] * p
         F = ref_of(ctx)
+        # the table is indexed by log: x + x^p + ... + x^(p^(n-1)) at
+        # x = gen^u, term by term
+        assert ctx.trace_table.tolist() == [F.trace(x) for x in F.powers]
+        fibers = np.bincount(ctx.trace_table, minlength=p)
+        assert list(fibers) == [ctx.q // p - 1] + [ctx.q // p] * (p - 1)  # x = 0 is no power
+
+        def tr(x):
+            return 0 if x == 0 else int(ctx.trace_table[F.log[x]])
+
         rng = random.Random(3)
         for _ in range(200):
             x, y = rng.randrange(ctx.q), rng.randrange(ctx.q)
-            assert tr[F.add(x, y)] == (tr[x] + tr[y]) % p
-        # x + x^p + ... + x^(p^(n-1)), term by term
-        assert tr.tolist() == [F.trace(x) for x in range(ctx.q)]
+            assert tr(F.add(x, y)) == (tr(x) + tr(y)) % p
 
 
 def test_frobenius_additive_exhaustive_q243():

@@ -37,29 +37,29 @@ def test_three_routes_agree_small(n, r):
     ctx = build_field(3, n)
     naive = kernel_count_naive(ref_of(ctx), r)
     assert naive == kernel_count_direct(ctx, r)
-    assert naive == kernel_count_charsum(ctx, r).count
+    assert naive == kernel_count_charsum(ctx, r)
     assert naive == 3 * ctx.q
 
 
 @pytest.mark.parametrize("n,r", [(7, 2), (7, 1), (9, 7)])
 def test_direct_equals_charsum_larger(n, r):
     ctx = build_field(3, n)
-    assert kernel_count_direct(ctx, r) == kernel_count_charsum(ctx, r).count == 3 * ctx.q
+    assert kernel_count_direct(ctx, r) == kernel_count_charsum(ctx, r) == 3 * ctx.q
 
 
 def test_eta_shift_sum_is_minus_one():
     for n in (3, 5, 7):
         ctx = build_field(3, n)
-        assert kernel_count_charsum(ctx, 1).eta_sum == -1
+        assert kernel_report(ctx, 1).eta_sum == -1
 
 
 def test_fourth_moment_matches_spectrum():
     for n, r in [(3, 1), (5, 1), (5, 4)]:
         ctx = build_field(3, n)
         d = 3**r + 2
-        moment4 = ctx.q**2 * kernel_count_charsum(ctx, r).count
+        moment4 = ctx.q**2 * kernel_count_charsum(ctx, r)
         assert moment4 == power_moment(spectrum(ctx, d), 4)
-    assert 27**2 * kernel_count_charsum(build_field(3, 3), 1).count == 27**2 * 3 * 27
+    assert 27**2 * kernel_count_charsum(build_field(3, 3), 1) == 27**2 * 3 * 27
     assert 3 * 27**3 == 59049
 
 
@@ -70,10 +70,15 @@ def test_gcd_reductions_used_in_proof():
         assert math.gcd(3 ** (2 * r) - 3**r, q1) == 2
 
 
+def hypotheses_ok(rep):
+    return next(c.ok for c in rep.checks if c.claim == "kernel.hypotheses")
+
+
 def test_hypothesis_flag_reported_not_raised():
     ctx = build_field(3, 9)
-    out = kernel_count_charsum(ctx, 3)  # gcd(3, 9) != 1: outside the lemma
-    assert out.hypotheses_ok is False
+    rep = kernel_report(ctx, 3)  # gcd(3, 9) != 1: outside the lemma
+    assert hypotheses_ok(rep) is False
+    assert rep.count_charsum == kernel_count_charsum(ctx, 3)
 
 
 def test_hypothesis_flag_needs_d_coprime_to_q_minus_1():
@@ -81,9 +86,9 @@ def test_hypothesis_flag_needs_d_coprime_to_q_minus_1():
     ctx = build_field(3, 5)
     naive = kernel_count_naive(ref_of(ctx), 2)
     assert naive == kernel_count_direct(ctx, 2) == 969
-    out = kernel_count_charsum(ctx, 2)
-    assert out.count == 729 and out.hypotheses_ok is False
+    assert kernel_count_charsum(ctx, 2) == 729
     rep = kernel_report(ctx, 2)
+    assert hypotheses_ok(rep) is False
     assert not passed(rep.checks)
     assert [c.claim for c in rep.checks if not c.ok] == [
         "kernel.direct-equals-charsum", "kernel.count", "kernel.hypotheses"
@@ -94,9 +99,8 @@ def test_hypothesis_flag_needs_d_coprime_to_q_minus_1():
 def test_hypothesis_flag_holds_exactly_where_the_routes_agree_on_3q(n):
     ctx = build_field(3, n)
     for r in range(-2, 2 * n + 1):
-        direct = kernel_count_direct(ctx, r)
-        out = kernel_count_charsum(ctx, r)
-        assert out.hypotheses_ok == (direct == out.count == 3 * ctx.q), r
+        rep = kernel_report(ctx, r)
+        assert hypotheses_ok(rep) == (rep.count_direct == rep.count_charsum == 3 * ctx.q), r
 
 
 def test_report_passes():
@@ -109,8 +113,8 @@ def test_report_passes():
 def test_even_n_counts_differ(n, direct, charsum):
     ctx = build_field(3, n)
     assert kernel_count_direct(ctx, 1) == direct
-    out = kernel_count_charsum(ctx, 1)
-    assert out.count == charsum and out.hypotheses_ok is False
+    assert kernel_count_charsum(ctx, 1) == charsum
+    assert hypotheses_ok(kernel_report(ctx, 1)) is False
 
 
 @pytest.mark.parametrize("p,n,r", [(3, 5, 4), (3, 4, 1), (5, 3, 1), (7, 2, 1)])

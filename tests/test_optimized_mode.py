@@ -29,6 +29,7 @@ def test_report_under_optimize_matches_golden():
         (("proof-check", "--n", "7"), golden / "proof-check_n_7.json"),
         (("kernel", "--n", "7", "--r", "2"), golden / "kernel_n_7_r_2.json"),
         (("graph-verify",), golden / "graph-verify.json"),
+        (("spectrum", "--p", "7", "--n", "5", "--d", "5"), golden / "spectrum_p_7_n_5_d_5.json"),
         (("--ceiling", "14348907", "divisibility", "--n", "15"), golden / "divisibility_n_15.json"),
         (("--ceiling", "14348907", "proof-check", "--n", "15"), golden / "proof-check_n_15.json"),
         (("verify-all",), ROOT / "tests" / "golden" / "verify-all.json"),

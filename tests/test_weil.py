@@ -100,6 +100,18 @@ def test_spectrum_reads_no_log_table(p, n, d):
     assert spectrum(no_log, d) == spectrum(ctx, d)
 
 
+def test_weil_sum_reads_no_exp_table():
+    # the sums read the trace table by log alone, so a context without its
+    # exp table gives the same sums
+    ctx = build_field(5, 3)
+    tables = {name: getattr(ctx, name) for name in FieldCtx.__slots__}
+    no_exp = FieldCtx(**{**tables, "exp": None})
+    coefficients = range(ctx.q)
+    for d in (3, 7):
+        full = [weil_sum(ctx, d, a) for a in coefficients]
+        assert [weil_sum(no_exp, d, a) for a in coefficients] == full
+
+
 @pytest.mark.parametrize("p, n, d", [(3, 7, 11), (5, 3, 3), (131, 1, 3)])
 def test_spectrum_block_does_not_change_the_spectrum(monkeypatch, p, n, d):
     ctx = build_field(p, n)
