@@ -8,8 +8,8 @@ generator, and the absolute trace of every power of it, by discrete log
 powers and apply Frobenius on discrete logs held in arrays (gen^i * gen^j
 is exp[(i + j) mod q-1]); adding 1 is the Zech logarithm,
 log(1 + gen^k), read off the tables for an array of logs.  The context
-also reads discrete logs and the quadratic character one at a time; -1
-is the code p - 1.
+also reads discrete logs one at a time; -1 is the code p - 1, and for
+odd p a nonzero element is a square exactly when its log is even.
 
 All tables are built once at construction and are read-only; a FieldCtx
 is immutable, and build_field returns one shared instance per (p, n).
@@ -226,14 +226,6 @@ class FieldCtx:
         c = self.exp[k] + 1
         c -= self.p * (c % self.p == 0)
         return self.log[c]
-
-    def eta(self, x: int) -> int:
-        """Quadratic character: 0 at zero, +1 on nonzero squares, -1 otherwise."""
-        if self.p == 2:
-            raise FieldError("quadratic character needs odd characteristic")
-        if x == 0:
-            return 0
-        return 1 if self.index(x) % 2 == 0 else -1
 
 
 def default_ceiling() -> int:

@@ -15,17 +15,20 @@ difference of logs, and the quadratic character is the parity of the
 log.  The one sum either route needs, 1 + w^e, is the Zech logarithm
 FieldCtx.zech, which is -1 where the sum is 0; no code is added digit by
 digit.  A character sum of w^e + 1 runs over the image of w -> w^e, the
-logs divisible by gcd(e, q - 1), each counted that many times.  The logs
+logs divisible by g = gcd(e, q - 1), each counted g times, so it is taken
+once per field and g: in the family g = 2, and the count's sum is also
+the conic sum of eta(u^2 + 1) that kernel_report checks.  The logs
 are taken in blocks of ff.LOG_BLOCK (ff.log_blocks), so the temporaries
 stay a few blocks in size, far below the field's own tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
-from .ff import FieldCtx, log_blocks
+from .ff import FieldCtx, FieldError, log_blocks
 from .report import Check
 
 def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
@@ -57,17 +60,21 @@ def kernel_count_direct(ctx: FieldCtx, r: int) -> int:
     return count
 
 
-def _eta_power_plus_one(ctx: FieldCtx, e: int) -> tuple[int, int]:
-    """(sum of eta(w^e + 1), number of w with w^e = -1) over the nonzero w.
+@functools.cache
+def _eta_sum(ctx: FieldCtx, g: int) -> tuple[int, int]:
+    """(sum of eta(w^e + 1), number of w with w^e = -1) over the nonzero w,
+    for every e with gcd(e, q - 1) = g.
 
-    As w runs over the nonzero elements, w^e runs over the gen^k with g | k,
-    g = gcd(e, q - 1), and hits each g times: the sums run over those
-    (q - 1)/g logs k and count each g times.  1 + gen^k = gen^Z(k) with the
-    Zech log Z, so eta is the parity of Z, and gen^k = -1 exactly where Z is
-    -1 (eta(0) = 0), one block of logs at a time.  Odd characteristic only.
+    As w runs over the nonzero elements, w^e runs over the gen^k with g | k
+    and hits each g times, so the sums depend on e only through g: they run
+    over those (q - 1)/g logs k and count each g times.  1 + gen^k =
+    gen^Z(k) with the Zech log Z, so eta is the parity of Z, and gen^k = -1
+    exactly where Z is -1 (eta(0) = 0), one block of logs at a time.  Odd
+    characteristic only; memoized per field and g.
     """
     import numpy as np
-    g = math.gcd(e, ctx.q - 1)
+    if ctx.p == 2:
+        raise FieldError("quadratic character needs odd characteristic")
     total = zeros = 0
     for k in log_blocks(ctx.q - 1, g):
         z = ctx.zech(k)
@@ -89,10 +96,9 @@ def kernel_count_charsum(ctx: FieldCtx, r: int) -> int:
     """
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
     e2 = (pow(p, 2 * r, Q) - pow(p, r, Q)) % Q
+    s, hits_minus_one = _eta_sum(ctx, math.gcd(e2, Q))
     # w^(p^2r - p^r) is a square, so it meets -1 only when -1 is a square
-    minus_one_square = ctx.eta(ctx.p - 1) == 1
-    s, hits_minus_one = _eta_power_plus_one(ctx, e2)
-    if hits_minus_one and not minus_one_square:
+    if hits_minus_one and ctx.index(p - 1) % 2:
         raise ArithmeticError("w^(p^2r - p^r) = -1 although -1 is a non-square")
     return (2 * q - 1) + (q - 1) - s
 
@@ -114,8 +120,9 @@ def kernel_report(ctx: FieldCtx, r: int) -> KernelReport:
     p, q, Q = ctx.p, ctx.q, ctx.q - 1
     direct = kernel_count_direct(ctx, r)
     charsum = kernel_count_charsum(ctx, r)
-    # u = 0 gives eta(1) = 1; the nonzero u = gen^lu have u^2 = exp[2*lu]
-    eta_sum = 1 + _eta_power_plus_one(ctx, 2)[0]
+    # u = 0 gives eta(1) = 1; the nonzero u^2 are the image of index 2,
+    # the charsum's own pass whenever gcd(p^2r - p^r, q - 1) = 2
+    eta_sum = 1 + _eta_sum(ctx, 2)[0]
     hyp = (
         ctx.n % 2 == 1
         and math.gcd(r, ctx.n) == 1

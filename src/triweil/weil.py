@@ -151,8 +151,8 @@ def _tally_rows(rows: np.ndarray, mults: np.ndarray | None = None) -> tuple[np.n
     the sorted keys: 8 B per row, no sorted copy of the rows.
     """
     import numpy as np
-    if not len(rows):
-        return rows, np.zeros(0, dtype=np.int64)
+    if len(rows) < 2:  # nothing to sort: a prime field's chunk is one row
+        return rows, np.ones(len(rows), dtype=np.int64) if mults is None else mults
     keys = np.zeros(len(rows), dtype=np.int64)
     bound, levels = 1, [(None, [])]  # per level: the distinct keys it ranks, its columns
     for j in range(rows.shape[1]):

@@ -221,6 +221,17 @@ def test_spectrum_work_over_budget_is_usage_error(capsys, monkeypatch):
         weil.check_spectrum_work(1009, 1, 3**7)  # admitted at the default ceiling
 
 
+def test_admitted_prime_field_spectrum_runs_at_once(capsys, monkeypatch):
+    # each of the p chunks of a prime field's transform tallies one row: a
+    # per-column pass over it would make ~p^2 numpy calls (~12 s at p = 1009)
+    monkeypatch.delenv("TRIWEIL_CEILING", raising=False)
+    t0 = time.perf_counter()
+    assert main(["--json", "spectrum", "--p", "1009", "--n", "1", "--d", "5"]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    fibers = json.loads(capsys.readouterr().out)["results"]["fiber_spectrum"]
+    assert sum(fibers.values()) == 1008
+
+
 @pytest.mark.parametrize("p,n", [(0, -1), (0, 0), (2, -1)])
 def test_bad_field_degree_is_usage_error(capsys, p, n):
     # the work check runs first and must leave a bad degree to build_field

@@ -5,7 +5,9 @@ The goldens in perfbench/golden/ are the `--json` reports the benchmark
 compares against; this module only reads them.  It runs them at the
 benchmark's ceiling, 3^15, which admits the n = 15 reports; no report
 states its ceiling.  tests/golden/verify-all.json is the `--json
-verify-all` report at the default ceiling.  The carry-graph reports are
+verify-all` report at the default ceiling, and
+tests/golden/spectrum_p_131_n_1_d_3.json the `--json` spectrum of a prime
+field, whose transform tallies one row per chunk.  The carry-graph reports are
 also checked under python3.10, the floor pyproject.toml states, when one
 runs on PATH (the test skips otherwise).
 """
@@ -23,6 +25,8 @@ from triweil.ff import CEILING_ENV_VAR
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "perfbench" / "golden"
 VERIFY_ALL_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify-all.json"
+PRIME_FIELD_ARGV = ("spectrum", "--p", "131", "--n", "1", "--d", "3")
+PRIME_FIELD_GOLDEN = VERIFY_ALL_GOLDEN.with_name("spectrum_p_131_n_1_d_3.json")
 
 COMMANDS = [
     ("spectrum", "--family", "5"),
@@ -58,6 +62,13 @@ def test_verify_all_matches_golden(capsys, monkeypatch):
     monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
     assert main(["--json", "verify-all"]) == 0
     assert capsys.readouterr().out.encode() == VERIFY_ALL_GOLDEN.read_bytes()
+
+
+def test_prime_field_spectrum_matches_golden(capsys, monkeypatch):
+    # one row per transform chunk, 131 columns: the merge of the chunks ranks its keys
+    monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+    assert main(["--json", *PRIME_FIELD_ARGV]) == 0
+    assert capsys.readouterr().out.encode() == PRIME_FIELD_GOLDEN.read_bytes()
 
 
 def test_carry_graph_reports_match_golden_at_the_python_floor():

@@ -9,7 +9,7 @@ import pytest
 from oracles import kernel_count_naive, on_curve, ref_of
 
 from triweil import ff, kernel_curve
-from triweil.ff import build_field
+from triweil.ff import FieldError, build_field
 from triweil.report import passed
 from triweil.kernel_curve import (
     kernel_count_charsum,
@@ -122,6 +122,7 @@ def test_counts_do_not_depend_on_the_block(monkeypatch, p, n, r):
     ctx = build_field(p, n)
     whole = kernel_count_direct(ctx, r), kernel_count_charsum(ctx, r)
     monkeypatch.setattr(ff, "LOG_BLOCK", 7)  # many blocks, a ragged last one
+    kernel_curve._eta_sum.cache_clear()  # else the charsum reads the sum taken above
     assert (kernel_count_direct(ctx, r), kernel_count_charsum(ctx, r)) == whole
 
 
@@ -138,7 +139,8 @@ def test_eta_power_plus_one_against_a_loop_over_the_logs(p, n):
                 zeros += 1
             else:
                 total += 1 if F.log[s] % 2 == 0 else -1
-        assert kernel_curve._eta_power_plus_one(ctx, e) == (total, zeros), e
+        # the sums depend on e only through g = gcd(e, q - 1)
+        assert kernel_curve._eta_sum(ctx, math.gcd(e, Q)) == (total, zeros), e
 
 
 def test_minus_one_branch_unreachable_for_odd_p():
@@ -146,17 +148,39 @@ def test_minus_one_branch_unreachable_for_odd_p():
     # never equals a non-square -1: the ArithmeticError branch cannot fire
     for p, n in [(3, 3), (3, 5), (7, 3), (11, 3)]:  # p = 3 mod 4, n odd
         ctx = build_field(p, n)
-        assert ctx.eta(ctx.p - 1) == -1
+        Q = ctx.q - 1
+        assert ctx.index(ctx.p - 1) % 2 == 1
         for r in range(1, n):
-            e2 = (p ** (2 * r) - p**r) % (ctx.q - 1)
+            e2 = (p ** (2 * r) - p**r) % Q
             assert e2 % 2 == 0
-            assert kernel_curve._eta_power_plus_one(ctx, e2)[1] == 0
+            assert kernel_curve._eta_sum(ctx, math.gcd(e2, Q))[1] == 0
 
 
 def test_minus_one_branch_raises(monkeypatch):
-    # force the exponent to 1: w = -1 meets the non-square -1 of GF(3^5)
-    orig = kernel_curve._eta_power_plus_one
+    # force the subgroup index to 1: w = -1 meets the non-square -1 of GF(3^5)
+    orig = kernel_curve._eta_sum
     assert orig(build_field(3, 5), 1)[1] == 1
-    monkeypatch.setattr(kernel_curve, "_eta_power_plus_one", lambda ctx, e: orig(ctx, 1))
+    monkeypatch.setattr(kernel_curve, "_eta_sum", lambda ctx, g: orig(ctx, 1))
     with pytest.raises(ArithmeticError, match="non-square"):
         kernel_count_charsum(build_field(3, 5), 1)
+
+
+def test_eta_sum_needs_odd_characteristic():
+    with pytest.raises(FieldError, match="odd characteristic"):
+        kernel_count_charsum(build_field(2, 5), 1)
+
+
+def test_kernel_report_takes_one_pass_over_the_squares(monkeypatch):
+    # at (n, r) = (7, 2) the charsum's subgroup has index 2, so the conic
+    # sum over the squares u^2 is the sum the count has just taken
+    ctx = ff._build_field.__wrapped__(3, 7)  # a fresh context: nothing memoized for it
+    orig, steps = kernel_curve.log_blocks, []
+
+    def counted(Q, step=1):
+        steps.append(step)
+        return orig(Q, step)
+
+    monkeypatch.setattr(kernel_curve, "log_blocks", counted)
+    rep = kernel_report(ctx, 2)
+    assert steps == [1, 2]  # the direct count's pass, then one over the squares
+    assert rep.eta_sum == -1 and passed(rep.checks)

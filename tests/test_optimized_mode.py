@@ -33,6 +33,8 @@ def test_report_under_optimize_matches_golden():
         (("--ceiling", "14348907", "divisibility", "--n", "15"), golden / "divisibility_n_15.json"),
         (("--ceiling", "14348907", "proof-check", "--n", "15"), golden / "proof-check_n_15.json"),
         (("verify-all",), ROOT / "tests" / "golden" / "verify-all.json"),
+        (("spectrum", "--p", "131", "--n", "1", "--d", "3"),
+         ROOT / "tests" / "golden" / "spectrum_p_131_n_1_d_3.json"),
     ]:
         out = subprocess.run(
             [sys.executable, "-O", "-m", "triweil.cli", "--json", *argv],

@@ -129,7 +129,9 @@ def _tally_by_counter(rows, mults):
 
 
 @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
-@pytest.mark.parametrize("case", ["small", "one-column", "constant-columns", "empty", "wide"])
+@pytest.mark.parametrize(
+    "case", ["small", "one-column", "constant-columns", "empty", "one-row", "full-span", "wide"]
+)
 def test_tally_rows_matches_counter(dtype, case):
     rng = np.random.default_rng(27)
     top = int(np.iinfo(dtype).max)
@@ -142,6 +144,10 @@ def test_tally_rows_matches_counter(dtype, case):
         rows = np.column_stack([np.zeros(800, int), cols[:, 0], np.full(800, top), cols[:, 1]])
     elif case == "empty":
         rows = np.zeros((0, 4), dtype=int)
+    elif case == "one-row":  # a prime field's chunk: nothing to sort
+        rows = rng.integers(0, top + 1, (1, 131))
+    elif case == "full-span":  # a span of 2^16 (2^32) wraps to 0 if taken in the dtype
+        rows = np.array([[0, 5], [top, 5], [0, 5]])
     else:  # 24 full-range columns: the keys must be ranked several times over
         rows = rng.integers(0, top + 1, (300, 24))
         rows = np.concatenate([rows, rows[:100], rows[:7]])
