@@ -8,11 +8,12 @@ d = 1 mod p-1.
 
 Both routes read the trace by discrete log, from the field's table of
 Tr(gen^u).  One sum is p - 1 count passes over q one-byte entries (for
-p < 128), read off two cached trace tables without a copy (see
-weil_sum).  The whole spectrum over the nonzero coefficients is one exact
-p-ary Walsh-Hadamard transform of the fiber indicator of Tr(x^d):
-n*p^2*q integer adds in an O(q) working set.  Its equal fiber vectors
-are counted on one exact int64 key per vector, sorted in place.
+p < 128): the cached traces of x^d less the field's trace table, both
+read in place (see weil_sum).  The whole spectrum over the nonzero
+coefficients is one exact p-ary Walsh-Hadamard transform of the fiber
+indicator of Tr(x^d): n*p^2*q integer adds in an O(q) working set.  Its
+equal fiber vectors are counted on one exact int64 key per vector,
+sorted in place.
 """
 
 from __future__ import annotations
@@ -67,37 +68,35 @@ class Spectrum(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1)
-def _trace_of_powers(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(trd, twice): p + Tr(gen^(d*u)) for u = 0..q-2, and Tr(gen^u) for
-    u = 0..q-2 twice over.
+def _trace_of_powers(ctx: FieldCtx, d: int) -> np.ndarray:
+    """p + Tr(gen^(d*u)) for u = 0..2q-3: two periods of q - 1 entries.
 
-    trd reads the trace table, which is indexed by log, at d*u mod q-1:
-    one gather per block of int64 logs (ff.log_blocks), never a q-sized
-    int64 index.  Tr(a*gen^u) for a = gen^k is then the view
-    twice[k : k + q - 1], so no coefficient needs a copy.  Both hold values
-    up to 2p - 1 in the narrowest unsigned dtype that holds them (uint8 for
-    p < 128), so trd minus that view never wraps: 3 bytes per element.
-    Kept for the last (ctx, d), so repeated weil_sum calls on one field and
-    exponent share the tables; both are read-only.
+    It reads the trace table, which is indexed by log, at d*u mod q-1: one
+    gather per block of int64 logs (ff.log_blocks), never a q-sized int64
+    index.  Its values up to 2p - 1 are held in the narrowest unsigned
+    dtype that holds them (uint8 for p < 128), so a trace subtracted from
+    them never wraps: 2 bytes per element.  Kept for the last (ctx, d), so
+    repeated weil_sum calls on one field and exponent share it; read-only.
     """
     import numpy as np
-    dtype = np.min_scalar_type(2 * ctx.p - 1)
     tr, Q = ctx.trace_table, ctx.q - 1
-    trd = np.empty(Q, dtype=dtype)
+    doubled = np.empty(2 * Q, dtype=np.min_scalar_type(2 * ctx.p - 1))
     for u in log_blocks(Q):
-        trd[u[0] : u[-1] + 1] = tr[u * (d % Q) % Q]
-    trd += dtype.type(ctx.p)
-    twice = np.concatenate((tr, tr), dtype=dtype)
-    trd.setflags(write=False)
-    twice.setflags(write=False)
-    return trd, twice
+        doubled[u[0] : u[-1] + 1] = tr[u * (d % Q) % Q]
+    doubled[:Q] += doubled.dtype.type(ctx.p)
+    doubled[Q:] = doubled[:Q]
+    doubled.setflags(write=False)
+    return doubled
 
 
 def weil_sum(ctx: FieldCtx, d: int, a: int) -> CharSumValue:
     """Exact fiber counts of sum over x of psi(x^d - a*x).
 
-    Over the nonzero x, p + Tr(x^d) - Tr(a*x) lies in 1..2p-1; one
-    subtraction of p where it reaches p reduces it mod p (below p the
+    For a = gen^k, x = gen^(v-k) has Tr(a*x) = Tr(gen^v), the trace
+    table's entry v, and p + Tr(x^d) at entry q-1-k+v of _trace_of_powers:
+    one view of each, read in place, gives p + Tr(x^d) - Tr(a*x) over the
+    nonzero x (a = 0 is k = 0 with 0 subtracted).  That lies in 1..2p-1;
+    one subtraction of p where it reaches p reduces it mod p (below p the
     unsigned subtraction wraps above it, and the smaller of the two is the
     residue).  N_1..N_{p-1} are then p - 1 count passes over that one
     narrow array, and N_0 is the rest (x = 0 has trace 0).  A call holds at
@@ -109,12 +108,8 @@ def weil_sum(ctx: FieldCtx, d: int, a: int) -> CharSumValue:
     if d < 1:
         raise ValueError("exponent must be positive")
     p, Q = ctx.p, ctx.q - 1
-    trd, twice = _trace_of_powers(ctx, d)
-    if a == 0:
-        diff = trd.copy()  # Tr(0*x) = 0
-    else:
-        k = ctx.index(a)
-        diff = trd - twice[k : k + Q]
+    k, tr_ax = (ctx.index(a), ctx.trace_table) if a else (0, 0)
+    diff = _trace_of_powers(ctx, d)[Q - k : 2 * Q - k] - tr_ax
     np.minimum(diff, diff - diff.dtype.type(p), out=diff)
     counts = [int(np.count_nonzero(diff == t)) for t in range(1, p)]
     return CharSumValue(p=p, fiber_counts=(ctx.q - sum(counts), *counts))
@@ -263,7 +258,10 @@ def check_spectrum_work(p: int, n: int, ceiling: int | None = None) -> None:
     are; a prime field near the ceiling, whose work is about q^2, is not.
     A q over the ceiling (decided without building q), a p < 2 or an
     n < 1 (0^-1 has no value) is left to build_field, which states its
-    tables or refuses the prime or the degree.
+    tables or refuses the prime or the degree.  So is a composite p whose
+    work is over the budget: primality is tested only there, where p is at
+    most the ceiling, so an admitted p pays build_field's trial division
+    once.
     """
     limit = ceiling if ceiling is not None else default_ceiling()
     if p < 2 or n < 1 or power_exceeds(p, n, limit):
@@ -273,7 +271,7 @@ def check_spectrum_work(p: int, n: int, ceiling: int | None = None) -> None:
     while 3 ** (k + 1) <= limit:
         k += 1
     work, budget = p * q * (1 + (n - 1) * p), 9 * k * limit
-    if work > budget:
+    if work > budget and ff.is_prime(p):
         raise FieldError(
             f"spectrum at q = {p}^{n} needs ~{work} element operations, over the "
             f"budget {budget} of the family at q = ceiling {limit}; "

@@ -201,16 +201,20 @@ def test_ceiling_message_states_table_memory(capsys, monkeypatch):
 
 
 def test_spectrum_work_over_budget_is_usage_error(capsys, monkeypatch):
-    # a prime field just under the ceiling: its tables fit, its ~q^2 transform does not
     monkeypatch.delenv("TRIWEIL_CEILING", raising=False)
-    t0 = time.perf_counter()
-    assert main(["spectrum", "--p", "1594301", "--n", "1", "--d", "5"]) == 2
-    assert time.perf_counter() - t0 < 1.0
-    assert capsys.readouterr().err == (
-        "error: spectrum at q = 1594301^1 needs ~2541795678601 element operations, "
-        "over the budget 186535791 of the family at q = ceiling 1594323; "
-        "raise it via ceiling= or $TRIWEIL_CEILING\n"
-    )
+    refusals = {
+        # a prime field just under the ceiling: its tables fit, its ~q^2 transform does not
+        ("1594301", "1"): "error: spectrum at q = 1594301^1 needs ~2541795678601 element "
+        "operations, over the budget 186535791 of the family at q = ceiling 1594323; "
+        "raise it via ceiling= or $TRIWEIL_CEILING\n",
+        # a composite p over the budget is refused for what it is, not for its work
+        ("9", "6"): "error: p = 9 is not prime\n",
+    }
+    for (p, n), message in refusals.items():
+        t0 = time.perf_counter()
+        assert main(["spectrum", "--p", p, "--n", n, "--d", "5"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == message
     # admitted: the family at the ceiling, the goldens' and the benchmark's fields
     for p, n in [(3, 13), (1009, 1), (101, 2), (5, 6), (7, 5), (7, 2), (5, 3)]:
         weil.check_spectrum_work(p, n)

@@ -17,8 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "triweil"
 # name -> why it stays in src/ with no caller there
 ALLOWED = {
     "stickelberger_bound": "the digit-weight bound at any p and d; the exponent census "
-    "(ROADMAP item 7) gives it a command",
-    "is_degenerate": "the exponent census (ROADMAP item 7) labels its degenerate classes with it",
+    "(ROADMAP item 9) gives it a command",
+    "is_degenerate": "the exponent census (ROADMAP item 9) labels its degenerate classes with it",
 }
 
 

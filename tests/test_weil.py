@@ -206,9 +206,13 @@ def test_weil_sum_tables_shared_per_field_and_exponent():
 
     ctx5, ctx7 = build_field(3, 5), build_field(3, 7)
     first = [weil_sum(ctx5, 29, a) for a in range(1, 40)]
-    assert _trace_of_powers(ctx5, 29) is _trace_of_powers(ctx5, 29)
-    assert not any(t.flags.writeable for t in _trace_of_powers(ctx5, 29))
-    assert all(t.itemsize == 1 for t in _trace_of_powers(ctx5, 29))  # p + Tr fits uint8
+    doubled = _trace_of_powers(ctx5, 29)
+    assert doubled is _trace_of_powers(ctx5, 29)
+    assert not doubled.flags.writeable
+    assert doubled.itemsize == 1  # p + Tr fits uint8
+    # one table, p + Tr(gen^(29u)) twice over; the field's trace table is not copied
+    assert isinstance(doubled, np.ndarray) and doubled.shape == (2 * 242,)
+    assert doubled.tolist() == 2 * [3 + int(ctx5.trace_table[29 * u % 242]) for u in range(242)]
     weil_sum(ctx5, 11, 3)
     weil_sum(ctx7, 29, 3)  # each switch of (ctx, d) replaces the kept tables
     assert [weil_sum(ctx5, 29, a) for a in range(1, 40)] == first
