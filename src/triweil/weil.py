@@ -11,9 +11,11 @@ Tr(gen^u).  One sum is p - 1 count passes over q one-byte entries (for
 p < 128): the cached traces of x^d less the field's trace table, both
 read in place (see weil_sum).  The whole spectrum over the nonzero
 coefficients is one exact p-ary Walsh-Hadamard transform of the fiber
-indicator of Tr(x^d): n*p^2*q integer adds in an O(q) working set.  Its
-equal fiber vectors are counted on one exact int64 key per vector,
-sorted in place.
+indicator of Tr(x^d): p*q*(1 + (n-1)*p) integer operations on counts
+laid out fiber-first, in an O(q) working set of the input, two count
+arrays and one block.  A small extension field runs it in one chunk, any
+other field in p chunks.  Its equal fiber vectors are counted on one
+exact int64 key per vector, sorted in place.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .ff import (
     log_blocks, power_exceeds,
 )
 from .report import Check
+
+UNCHUNKED_COUNTS = 1 << 18  # p*q counts (0.5-1 MiB) a one-chunk transform may hold
 
 
 class SpectrumError(ValueError):
@@ -116,22 +120,31 @@ def weil_sum(ctx: FieldCtx, d: int, a: int) -> CharSumValue:
 
 
 def _shift_axis(T: np.ndarray) -> np.ndarray:
-    """One digit axis of the transform, (c, rest, s) -> (rest, b, s).
+    """One digit axis of the transform, fiber-first: (s, rest, c) -> (s, b, rest).
 
-    out[r, b, s] = sum over c of T[c, r, (s + c*b) mod p]: the fiber axis
-    of slice c is shifted cyclically by c*b.  Integer adds only.  The new b
-    axis goes behind the rest, so n - 1 steps visit each digit axis once.
+    out[s, b, r] = sum over c of T[(s + c*b) mod p, r, c]: the fiber axis
+    of slice c is shifted cyclically by c*b.  The c = 0 term is a broadcast
+    copy.  Each c >= 1 is one np.take of whole rows along the fiber axis,
+    with the p x p index (s + c*b) mod p, added into out a block of about
+    ff.LOG_BLOCK counts at a time, so a step holds its input, its output
+    and one block.  Integer adds only.  The new b axis goes in front of the
+    rest and c is always the last axis, so the steps visit each digit axis
+    once.
     """
     import numpy as np
-    p = T.shape[0]
+    p, rest = T.shape[0], T.shape[1]
     ar = np.arange(p)
-    shift = (ar[:, None] + ar) % p  # shift[k, s] = (k + s) mod p
-    out = np.repeat(T[0][:, None, :], p, axis=1)
-    buf = np.empty_like(out)
+    shift = (ar[:, None] + ar) % p  # shift[s, k] = (s + k) mod p
+    times = ar[:, None] * ar % p  # times[c, b] = c*b mod p
+    out = np.empty((p, p, rest), dtype=T.dtype)
+    out[...] = T[:, None, :, 0]
+    block = max(1, ff.LOG_BLOCK // (p * p))  # columns of the rest per gather
+    blocks = [(out[:, :, j : j + block], T[:, j : j + block]) for j in range(0, rest, block)]
     for c in range(1, p):
-        # indices are in range; "clip" skips the buffered bounds check
-        np.take(T[c], shift[c * ar % p], axis=1, out=buf, mode="clip")
-        out += buf
+        rows = shift.take(times[c], axis=1)  # rows[s, b] = (s + c*b) mod p
+        for dst, src in blocks:
+            # indices are in range; "clip" skips the buffered bounds check
+            dst += src[..., c].take(rows, axis=0, mode="clip")
     return out
 
 
@@ -150,10 +163,10 @@ def _tally_rows(rows: np.ndarray, mults: np.ndarray | None = None) -> tuple[np.n
         return rows, np.ones(len(rows), dtype=np.int64) if mults is None else mults
     keys = np.zeros(len(rows), dtype=np.int64)
     bound, levels = 1, [(None, [])]  # per level: the distinct keys it ranks, its columns
-    for j in range(rows.shape[1]):
+    lows, highs = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+    for j, (low, high) in enumerate(zip(lows, highs)):
         col = rows[:, j]
-        low = int(col.min())
-        span = int(col.max()) - low + 1
+        span = high - low + 1
         if bound * span > 1 << 63:
             distinct, keys = np.unique(keys, return_inverse=True)
             levels.append((distinct, []))
@@ -198,44 +211,62 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
     N is a p-ary Walsh-Hadamard transform of the fiber indicator of
     Tr(x^d) over the digits of c, taken one digit axis at a time with
     cyclic shifts of the fiber axis: integer adds, no roots of unity, any p,
-    n*p^2*q element operations.  It runs in chunks of one top digit of b.
+    p*q*(1 + (n-1)*p) element operations.  Its counts are laid out
+    fiber-first, (s, digits).  The top axis is counted by bincount, one
+    value beta of the top digit of b at a time; the other n - 1 axes are
+    _shift_axis steps.  A field with n >= 2 whose p*q counts are few runs
+    as one chunk that holds every beta, with one tally and no merge; any
+    other runs p chunks of q counts, one beta each.  The work is the same
+    either way.
 
     The input, Tr(x^d) by the code of x, is one array of q traces in the
-    trace table's dtype: at the code exp[u] it is the table's entry at
-    d*u mod q-1, scattered one block of int64 logs u at a time
-    (ff.log_blocks), so no log table is read.  Each chunk counts its top
-    axis a block of columns at a time, straight into the narrowest unsigned
-    dtype that holds q.  The working set is thus that input and three
-    arrays of q counts, never q*p entries and no q-sized int64 array.  Each
-    chunk's q/p fiber vectors are tallied on int64 keys (8 B each, see
-    _tally_rows) and the p tallies are merged once, at the end.
+    narrowest unsigned dtype that holds 2p - 1: at the code exp[u] it is
+    the table's entry at d*u mod q-1, scattered one block of int64 logs u
+    at a time (ff.log_blocks), so no log table is read.  Row c of it (the
+    top digit of the code) is stepped in place from Tr(x^d) - c*beta to
+    Tr(x^d) - c*(beta + 1) mod p after each bincount, with no division.
+    The counts go a block of columns at a time straight into the narrowest
+    unsigned dtype that holds q.  The working set is thus that input, two
+    count arrays of one chunk and one block (see _shift_axis), and no
+    q-sized int64 array.  Each chunk's fiber vectors are tallied on int64
+    keys (8 B each, see _tally_rows); p tallies are merged once, at the end.
     """
     import numpy as np
     if d < 1:
         raise ValueError("exponent must be positive")
     p, n, q, Q = ctx.p, ctx.n, ctx.q, ctx.q - 1
-    tr_xd = np.zeros(q, dtype=ctx.trace_table.dtype)  # Tr(x^d) by the code of x; 0 at x = 0
+    fdtype = np.min_scalar_type(2 * p - 1)  # a residue plus p - 1, as in weil_sum
+    fiber = np.zeros(q, dtype=fdtype)  # Tr(x^d) by the code of x; 0 at x = 0
     for u in log_blocks(Q):
-        tr_xd[ctx.exp[u[0] : u[-1] + 1]] = ctx.trace_table[u * (d % Q) % Q]
+        fiber[ctx.exp[u[0] : u[-1] + 1]] = ctx.trace_table[u * (d % Q) % Q]
     del u  # the last block of int64 logs, not kept through the transform
-    tr_xd = tr_xd.reshape(p, q // p)  # row = top digit of the code
-    top = np.arange(p)[:, None]
+    fiber = fiber.reshape(p, q // p)  # row = top digit c of the code
+    down = (-np.arange(p) % p).astype(fdtype)[:, None]  # -c mod p, by row
+    # top digits of b fixed per chunk: none (one chunk of p*q counts) for a
+    # small extension field; else the top one (p chunks of q counts).  A
+    # prime field keeps its p chunks: each is one fiber vector and no step.
+    k = 0 if p < q and p * q <= UNCHUNKED_COUNTS else 1
+    per = p ** (1 - k)  # values of the top digit of b in one chunk: all p, or one
     width = max(1, ff.LOG_BLOCK // p)  # columns per bincount
     low = np.arange(width) * p  # flat index of (column in the block, fiber 0)
     count_dtype = np.min_scalar_type(q)  # every count is at most q
     tallies = []
-    for beta in range(p):
-        # the top axis at b_{n-1} = beta, then the other n - 1 axes
-        T = np.empty(q, dtype=count_dtype)
-        for j in range(0, q // p, width):
-            cols = tr_xd[:, j : j + width]
-            m = cols.shape[1]
-            keys = ((cols - top * beta) % p + low[:m]).ravel()
-            T[j * p : (j + m) * p] = np.bincount(keys, minlength=m * p)
-        for _ in range(n - 1):
+    for chunk in range(p**k):
+        T = np.empty((p, per, q // p), dtype=count_dtype)  # (s, top digit of b, other digits of c)
+        for i in range(per):  # the top axis at the chunk's i-th beta
+            for j in range(0, q // p, width):
+                cols = fiber[:, j : j + width]  # Tr(x^d) - c*beta mod p
+                m = cols.shape[1]
+                counts = np.bincount((cols + low[:m]).ravel(), minlength=m * p)
+                T[:, i, j : j + m] = counts.reshape(m, p).T
+                cols += down  # at beta + 1, up to 2p - 2: less p where that is smaller
+                np.minimum(cols, cols - fdtype.type(p), out=cols)
+        for _ in range(n - 1):  # then the other n - 1 axes
             T = _shift_axis(T.reshape(p, -1, p))
-        tallies.append(_tally_rows(T.reshape(-1, p)[1 if beta == 0 else 0 :]))  # drop b = 0: row 0, chunk 0
-    rows, mults = _tally_rows(*map(np.concatenate, zip(*tallies)))
+        T = T.reshape(p, -1)[:, 0 if chunk else 1 :]  # drop b = 0: column 0 of chunk 0
+        tallies.append(_tally_rows(T.T))  # one fiber vector per column
+        del T  # before the next chunk allocates its own counts
+    rows, mults = tallies[0] if k == 0 else _tally_rows(*map(np.concatenate, zip(*tallies)))
     fibers = dict(zip(map(tuple, rows.tolist()), mults.tolist()))
 
     entries: dict[int, int] | None = {}
@@ -251,17 +282,18 @@ def spectrum(ctx: FieldCtx, d: int) -> Spectrum:
 def check_spectrum_work(p: int, n: int, ceiling: int | None = None) -> None:
     """Refuse, before the field is built, a spectrum that would run too long.
 
-    The transform does p*q*(1 + (n-1)*p) element operations: p chunks of
-    one bincount over q and n - 1 shift steps of p*q each.  The budget is
-    the family's own count at q = ceiling, 9*k*ceiling with
-    k = floor(log_3 ceiling), so the family is admitted whenever its tables
-    are; a prime field near the ceiling, whose work is about q^2, is not.
-    A q over the ceiling (decided without building q), a p < 2 or an
-    n < 1 (0^-1 has no value) is left to build_field, which states its
-    tables or refuses the prime or the degree.  So is a composite p whose
-    work is over the budget: primality is tested only there, where p is at
-    most the ceiling, so an admitted p pays build_field's trial division
-    once.
+    The transform does p*q*(1 + (n-1)*p) element operations whether it
+    runs in one chunk or in p (see spectrum): p bincount passes over q
+    codes, then n - 1 shift steps over the p*q counts of all chunks, p^2*q
+    operations each.  The budget is the family's own count at q = ceiling,
+    9*k*ceiling with k = floor(log_3 ceiling), so the family is admitted
+    whenever its tables are; a prime field near the ceiling, whose work is
+    about q^2, is not.  A q over the ceiling (decided without building q),
+    a p < 2 or an n < 1 (0^-1 has no value) is left to build_field, which
+    states its tables or refuses the prime or the degree.  So is a
+    composite p whose work is over the budget: primality is tested only
+    there, where p is at most the ceiling, so an admitted p pays
+    build_field's trial division once.
     """
     limit = ceiling if ceiling is not None else default_ceiling()
     if p < 2 or n < 1 or power_exceeds(p, n, limit):

@@ -2,6 +2,7 @@
 mini-field oracle for the smallest interesting field."""
 
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -119,6 +120,71 @@ def test_spectrum_block_does_not_change_the_spectrum(monkeypatch, p, n, d):
     for block in (7, ctx.q):  # ragged blocks (one column each at p = 131); a single block
         monkeypatch.setattr(ff, "LOG_BLOCK", block)
         assert spectrum(ctx, d) == default, block
+
+
+@pytest.mark.parametrize(
+    "p, n, d",
+    [(2, 5, 3), (3, 5, 83), (5, 3, 3), (7, 2, 5), (3, 7, 11), (3, 9, 2189), (5, 6, 11), (7, 5, 5),
+     (131, 1, 3)],
+)
+def test_chunk_depth_does_not_change_the_spectrum_or_its_work(monkeypatch, p, n, d):
+    # one chunk of p*q counts, one tally and no merge (n >= 2 only), or p
+    # chunks of q and a merge: the same spectrum, and shift steps of
+    # (n-1)*p^2*q element operations in all
+    ctx = build_field(p, n)
+    default = spectrum(ctx, d)
+    step, sizes = weil._shift_axis, []
+    tally, tallies = weil._tally_rows, []
+    monkeypatch.setattr(weil, "_shift_axis", lambda T: sizes.append(T.size) or step(T))
+    monkeypatch.setattr(weil, "_tally_rows", lambda *a: tallies.append(len(a)) or tally(*a))
+    for counts, chunks in ((1 << 62, 1 if n >= 2 else p), (0, p)):
+        monkeypatch.setattr(weil, "UNCHUNKED_COUNTS", counts)
+        sizes.clear()
+        tallies.clear()
+        assert spectrum(ctx, d) == default, chunks
+        assert tallies == [1] * chunks + [2] * (chunks > 1), chunks
+        assert p * sum(sizes) == (n - 1) * p * p * ctx.q, chunks
+
+
+def test_prime_field_runs_no_shift_step(monkeypatch):
+    # a prime field keeps its p chunks, each one bincount and no step
+    ctx = build_field(701, 1)
+    step, calls = weil._shift_axis, []
+    monkeypatch.setattr(weil, "_shift_axis", lambda T: calls.append(T.shape) or step(T))
+    assert sum(spectrum(ctx, 5).fiber_entries.values()) == 700
+    assert calls == []
+
+
+def test_prime_field_spectrum_takes_milliseconds():
+    # tens of milliseconds; a transform that ran its n shift steps over the
+    # indicator of all p*q fibers would take seconds here (p^3 work)
+    ctx = build_field(701, 1)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        spectrum(ctx, 5)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.5, times
+
+
+def test_shift_step_holds_its_output_and_one_block(monkeypatch):
+    # input and output of a step are one chunk each; the gather adds one
+    # block of about LOG_BLOCK counts, not a third chunk-sized array
+    monkeypatch.setattr(ff, "LOG_BLOCK", 1 << 10)
+    step, seen = weil._shift_axis, []
+
+    def traced(T):
+        tracemalloc.start()
+        try:
+            out = step(T)
+            seen.append((tracemalloc.get_traced_memory()[1], T.nbytes))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(weil, "_shift_axis", traced)
+    spectrum(build_field(3, 11), family_params(11).d)
+    assert len(seen) == 3 * 10 and all(peak < 1.5 * nbytes for peak, nbytes in seen), seen
 
 
 def _tally_by_counter(rows, mults):
